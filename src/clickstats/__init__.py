@@ -1,6 +1,5 @@
 """Simulation and nonclassicality analysis of two-mode click-counting data."""
 
-from ._kernels import NUMBA_ENABLED
 from .model import (ClickStatsError, CountMatrix, CriteriaReport, DetectorConfig,
                     Estimate, JointClickDistribution, JointPhotonDistribution,
                     UndefinedStatisticError, ValidationError, Verdict, normalize,
@@ -14,7 +13,6 @@ from .criteria import (binomial_q, conditional_nonclassicality_number,
 from .uncertainty import BootstrapConfig, bootstrap
 
 __all__ = [
-    "NUMBA_ENABLED",
     "ClickStatsError", "ValidationError", "UndefinedStatisticError",
     "DetectorConfig", "JointPhotonDistribution", "JointClickDistribution",
     "CountMatrix", "CriteriaReport", "Estimate", "Verdict",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import secrets
 import sys
 from pathlib import Path
 
@@ -74,6 +73,15 @@ def read_counts_csv(path) -> CountMatrix:
     return CountMatrix(counts)
 
 
+def _seed(args) -> int:
+    """The --seed given, or a fresh 32-bit one. ``secrets`` loads OpenSSL
+    (about 3.5 MB), so it is imported only when a seed must be drawn."""
+    if args.seed is not None:
+        return args.seed
+    import secrets
+    return secrets.randbits(32)
+
+
 def _state_spec(args) -> StateSpec:
     if args.state == "coherent":
         return StateSpec.coherent(args.mean_a, args.mean_b)
@@ -89,7 +97,7 @@ def _state_spec(args) -> StateSpec:
 
 
 def cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else secrets.randbits(32)
+    seed = _seed(args)
     spec = _state_spec(args)
     cfg_a = DetectorConfig(bins=args.bins, efficiency=args.eta, dark_click=args.nu)
     cfg_b = DetectorConfig(
@@ -122,7 +130,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     counts = read_counts_csv(args.counts)
-    seed = args.seed if args.seed is not None else secrets.randbits(32)
+    seed = _seed(args)
     jcd = normalize(counts)
     errors = bootstrap(counts, BootstrapConfig(replicates=args.replicates, seed=seed))
     meta_path = Path(str(args.counts) + ".meta.json")

@@ -5,6 +5,7 @@ All types are immutable after construction and validate their invariants in
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,11 @@ class ValidationError(ClickStatsError):
 class UndefinedStatisticError(ClickStatsError):
     """A statistic is undefined for the given data (degenerate marginal,
     unsupported condition, zero variance)."""
+
+
+def _json_number(x: float | None) -> float | None:
+    """JSON has no NaN or Infinity: non-finite numbers are written as null."""
+    return x if x is None or math.isfinite(x) else None
 
 
 def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
@@ -158,7 +164,7 @@ def validate_distribution(d: JointClickDistribution) -> None:
         raise ValidationError(f"click distribution not normalized: sum={total!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Estimate:
     """A reported statistic: point value, bootstrap standard error, validity flag."""
 
@@ -167,7 +173,8 @@ class Estimate:
     defined: bool = True
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "stderr": self.stderr, "defined": self.defined}
+        return {"value": _json_number(self.value),
+                "stderr": _json_number(self.stderr), "defined": self.defined}
 
     @classmethod
     def undefined(cls) -> "Estimate":
@@ -180,7 +187,7 @@ class Estimate:
                    stderr=d.get("stderr"), defined=bool(d.get("defined", True)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of one nonclassicality test.
 
@@ -193,7 +200,7 @@ class Verdict:
 
     def to_dict(self) -> dict:
         return {"violated": self.violated,
-                "significance_sigmas": self.significance_sigmas}
+                "significance_sigmas": _json_number(self.significance_sigmas)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Verdict":
@@ -201,7 +208,7 @@ class Verdict:
                    significance_sigmas=d.get("significance_sigmas"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriteriaReport:
     """Every statistic, classical bound, and verdict for one dataset."""
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .model import (CountMatrix, DetectorConfig, JointClickDistribution,
                     JointPhotonDistribution, ValidationError)
 
@@ -167,20 +166,29 @@ def sample_counts_physical(jpd: JointPhotonDistribution,
                            cfg_b: DetectorConfig,
                            shots: int,
                            seed: int) -> CountMatrix:
-    """Brute-force stochastic detector model, shot by shot.
+    """Brute-force stochastic detector model, vectorised over shots.
 
-    Independent oracle for the analytic kernel: photons are placed uniformly
-    into bins, thinned by the efficiency, and bins dark-click independently.
+    Independent oracle for the analytic kernel: photons are thinned by the
+    efficiency, placed uniformly into bins, and bins dark-click independently.
     """
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    pflat = np.ascontiguousarray(jpd.probs.ravel())
-    pflat = pflat / pflat.sum()
-    # numba path expects a plain uint32-range seed
-    sub_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
-    counts = _kernels.physical_sample(
-        pflat, jpd.probs.shape[1], cfg_a.bins, cfg_b.bins,
-        cfg_a.efficiency, cfg_b.efficiency,
-        cfg_a.dark_click, cfg_b.dark_click,
-        shots, sub_seed)
-    return CountMatrix(counts)
+    pflat = jpd.probs.ravel() / jpd.probs.sum()
+    rng = np.random.default_rng(seed)
+    n_a, n_b = np.divmod(rng.choice(pflat.size, size=shots, p=pflat),
+                         jpd.probs.shape[1])
+
+    def arm_clicks(n, cfg):
+        detected = rng.binomial(n, cfg.efficiency)
+        # spread the detected photons uniformly over the bins, then count
+        # occupied bins; dark clicks fire independently on every bin
+        clicking = rng.multinomial(detected, np.full(cfg.bins, 1.0 / cfg.bins)) > 0
+        if cfg.dark_click > 0.0:
+            clicking |= rng.random(size=(shots, cfg.bins)) < cfg.dark_click
+        return clicking.sum(axis=1)
+
+    a = arm_clicks(n_a, cfg_a)
+    b = arm_clicks(n_b, cfg_b)
+    joint = np.ravel_multi_index((a, b), (cfg_a.bins + 1, cfg_b.bins + 1))
+    counts = np.bincount(joint, minlength=(cfg_a.bins + 1) * (cfg_b.bins + 1))
+    return CountMatrix(counts.reshape(cfg_a.bins + 1, cfg_b.bins + 1))

@@ -1,5 +1,10 @@
 """Descriptive statistics and normally ordered moments of click data.
 
+Every function here works on one distribution or on a stack of them: a
+distribution's outcome runs along the last axis (joint distributions along
+the last two, shape (..., N_A+1, N_B+1)), and any leading axes are carried
+through. Joint-distribution functions also accept a JointClickDistribution.
+
 The m-th normally ordered moment of the on-off "click operator" is recovered
 from an N-bin click distribution by the factorial-moment rule
 
@@ -37,9 +42,24 @@ class NormalMoments:
         return bool(np.all(self.values >= 0.0) and np.all(self.values <= 1.0))
 
 
-def marginals(jcd: JointClickDistribution) -> tuple[np.ndarray, np.ndarray]:
+def _probs(joint) -> np.ndarray:
+    if isinstance(joint, JointClickDistribution):
+        return joint.probs
+    return np.asarray(joint, dtype=float)
+
+
+def marginals(joint) -> tuple[np.ndarray, np.ndarray]:
     """Marginal click distributions (over a, over b)."""
-    return jcd.probs.sum(axis=1), jcd.probs.sum(axis=0)
+    probs = _probs(joint)
+    return probs.sum(axis=-1), probs.sum(axis=-2)
+
+
+def conditionals(joint) -> np.ndarray:
+    """Conditional distributions c(b | a) for every a; the row of an
+    unsupported condition (c(a) = 0) is zero."""
+    probs = _probs(joint)
+    ca = probs.sum(axis=-1, keepdims=True)
+    return np.divide(probs, ca, out=np.zeros_like(probs), where=ca > 0.0)
 
 
 def conditional(jcd: JointClickDistribution, a: int) -> np.ndarray:
@@ -53,30 +73,28 @@ def conditional(jcd: JointClickDistribution, a: int) -> np.ndarray:
     return row / total
 
 
-def mean(dist: np.ndarray) -> float:
+def mean(dist) -> np.ndarray:
     dist = np.asarray(dist, dtype=float)
-    return float(np.arange(dist.size) @ dist)
+    return dist @ np.arange(dist.shape[-1])
 
 
-def variance(dist: np.ndarray) -> float:
+def variance(dist) -> np.ndarray:
     dist = np.asarray(dist, dtype=float)
-    k = np.arange(dist.size)
-    m = k @ dist
-    return float((k - m) ** 2 @ dist)
+    k = np.arange(dist.shape[-1])
+    return ((k - mean(dist)[..., None]) ** 2 * dist).sum(axis=-1)
 
 
-def covariance(jcd: JointClickDistribution) -> float:
+def covariance(joint) -> np.ndarray:
     """Cov(a, b) = E(ab) - E(a) E(b) over the joint click outcomes."""
-    ca, cb = marginals(jcd)
-    a = np.arange(ca.size)
-    b = np.arange(cb.size)
-    e_ab = float(a @ jcd.probs @ b)
+    probs = _probs(joint)
+    ca, cb = marginals(probs)
+    e_ab = (probs @ np.arange(cb.shape[-1])) @ np.arange(ca.shape[-1])
     return e_ab - mean(ca) * mean(cb)
 
 
-def summed_click_mean(jcd: JointClickDistribution) -> float:
+def summed_click_mean(joint) -> np.ndarray:
     """E(a + b), the summed click number of the dataset."""
-    ca, cb = marginals(jcd)
+    ca, cb = marginals(joint)
     return mean(ca) + mean(cb)
 
 
@@ -94,11 +112,9 @@ def moment_weights(bins: int, m_max: int) -> np.ndarray:
 
 def normal_moment(dist: np.ndarray, m: int, bins: int) -> float:
     """<:pi^m:> extracted from an N-bin click distribution."""
-    if m < 0 or m > bins:
-        raise ValidationError(f"moment order must be in 0..{bins}, got {m}")
-    dist = np.asarray(dist, dtype=float)
-    denom = math.comb(bins, m)
-    return float(sum(math.comb(b, m) / denom * dist[b] for b in range(dist.size)))
+    if m < 0:
+        raise ValidationError(f"moment order must be >= 0, got {m}")
+    return float(normal_moments(dist, m, bins).values[m])
 
 
 def normal_moments(dist: np.ndarray, m_max: int, bins: int) -> NormalMoments:

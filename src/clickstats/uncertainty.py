@@ -8,27 +8,21 @@ quantities without any delta-method approximations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import criteria, stats
-from .model import (CountMatrix, JointClickDistribution, UndefinedStatisticError,
-                    ValidationError, normalize)
+from . import criteria
+from .model import CountMatrix, ValidationError
 
 # statistic name -> callable on a JointClickDistribution
-STATISTICS: dict = {
-    "summed_click_mean": stats.summed_click_mean,
-    "q_a": lambda d: criteria.binomial_q(stats.marginals(d)[0], d.bins_a),
-    "q_b": lambda d: criteria.binomial_q(stats.marginals(d)[1], d.bins_b),
-    "kappa": criteria.kappa,
-    "kappa_cl_max": criteria.kappa_cl_max,
-    "kappa_margin": criteria.kappa_margin,
-    "gamma": criteria.pearson,
-    "gamma_cl_max": criteria.pearson_cl_max,
-    "gamma_margin": criteria.pearson_margin,
-    "frak_n": criteria.conditional_nonclassicality_number,
-}
+STATISTICS: dict = {name: partial(criteria.statistic, name=name)
+                    for name in criteria.WHY_UNDEFINED}
+
+# Replicates are drawn and scored this many at a time, which bounds the memory
+# a bootstrap holds at large bin counts.
+CHUNK = 64
 
 MAX_DROP_FRACTION = 0.5
 
@@ -65,6 +59,8 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
 
     Each replicate draws from a generator spawned off the config seed, so a
     parallel split of the replicate loop would reproduce the serial result.
+    Replicates are scored CHUNK at a time by criteria.stack_statistics; a
+    statistic is dropped from the replicates on which it is undefined (NaN).
     """
     total = counts.total
     if total < 1:
@@ -74,21 +70,19 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
     samples: dict[str, list] = {name: [] for name in cfg.statistics}
-    for child in seeds:
-        rng = np.random.default_rng(child)
-        replicate = rng.multinomial(total, pflat).reshape(shape)
-        jcd = JointClickDistribution(replicate / total)
+    for start in range(0, cfg.replicates, CHUNK):
+        draws = np.stack([np.random.default_rng(child).multinomial(total, pflat)
+                          for child in seeds[start:start + CHUNK]])
+        scored = criteria.stack_statistics(draws.reshape(-1, *shape) / total).values
         for name in cfg.statistics:
-            try:
-                samples[name].append(STATISTICS[name](jcd))
-            except UndefinedStatisticError:
-                pass
+            samples[name].append(scored[name])
 
     out: dict[str, BootstrapStat] = {}
     for name in cfg.statistics:
-        values = samples[name]
-        drop = 1.0 - len(values) / cfg.replicates
-        if drop > MAX_DROP_FRACTION or len(values) < 2:
+        values = np.concatenate(samples[name])
+        values = values[~np.isnan(values)]
+        drop = 1.0 - values.size / cfg.replicates
+        if drop > MAX_DROP_FRACTION or values.size < 2:
             out[name] = BootstrapStat(stderr=None, drop_fraction=drop, defined=False)
         else:
             out[name] = BootstrapStat(stderr=float(np.std(values, ddof=1)),

@@ -137,3 +137,23 @@ def test_report_schema_mismatch(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 99}))
     assert run(["report", bad]) == 2
+
+
+def test_degenerate_counts_give_strict_json(tmp_path):
+    # every shot in cell (0, 0): Q, kappa and gamma are undefined, and the
+    # bootstrap error of frak_n is zero
+    counts = np.zeros((9, 9), dtype=np.int64)
+    counts[0, 0] = 1000
+    counts_path = tmp_path / "vacuum.csv"
+    write_counts_csv(counts_path, cs.CountMatrix(counts))
+    report_path = tmp_path / "vacuum.json"
+    assert run(["analyze", "--counts", counts_path, "--replicates", 50, "--seed", 1,
+                "--report-out", report_path]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    data = json.loads(report_path.read_text(), parse_constant=reject)
+    assert data["q_a"] == {"value": None, "stderr": None, "defined": False}
+    assert data["kappa_test"]["violated"] is None
+    assert run(["report", report_path]) == 0
+

@@ -1,8 +1,13 @@
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
 import clickstats as cs
 from clickstats.model import ValidationError
+from clickstats.uncertainty import BootstrapStat
 
 
 def test_detector_config_validation():
@@ -94,3 +99,22 @@ def test_report_round_trip():
     assert again.gamma_test.violated == report.gamma_test.violated
     assert again.label == "sp"
     assert again.seed == 3
+
+
+def test_report_dict_is_strict_json():
+    # a violation with zero bootstrap error has infinite significance, and an
+    # undefined statistic has no value; JSON has neither Infinity nor NaN
+    cfg = cs.DetectorConfig(8, 1.0, 0.0)
+    jcd = cs.joint_click_distribution(
+        cs.build_photon_distribution(cs.StateSpec.split_photon(np.sqrt(0.5))),
+        cfg, cfg)
+    errors = {"kappa_margin": BootstrapStat(stderr=0.0, drop_fraction=0.0)}
+    report = cs.evaluate_all(jcd, errors=errors)
+    assert report.kappa_test.significance_sigmas == math.inf
+    undefined = dataclasses.replace(report, q_a=cs.Estimate.undefined())
+    data = undefined.to_dict()
+    assert data["kappa_test"] == {"violated": True, "significance_sigmas": None}
+    assert data["q_a"]["value"] is None
+    json.dumps(data, allow_nan=False)
+    again = cs.CriteriaReport.from_dict(data)
+    assert math.isnan(again.q_a.value) and again.q_a.defined is False

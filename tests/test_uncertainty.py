@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import clickstats as cs
 from clickstats import stats
-from clickstats.model import ValidationError
-from clickstats.uncertainty import BootstrapConfig, bootstrap
+from clickstats.model import UndefinedStatisticError, ValidationError
+from clickstats.uncertainty import (CHUNK, STATISTICS, BootstrapConfig,
+                                    bootstrap)
 
 
 def coherent_counts(shots, seed=21):
@@ -66,3 +69,44 @@ def test_statistic_subset():
     out = bootstrap(counts, BootstrapConfig(replicates=50, seed=4,
                                             statistics=("kappa", "gamma")))
     assert set(out) == {"kappa", "gamma"}
+
+
+def serial_replay(counts, cfg):
+    """The bootstrap one replicate at a time through the scalar statistics:
+    name -> (standard error or None, drop fraction)."""
+    total = counts.total
+    pflat = counts.counts.ravel() / total
+    samples = {name: [] for name in cfg.statistics}
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.replicates):
+        draw = np.random.default_rng(child).multinomial(total, pflat)
+        jcd = cs.JointClickDistribution(draw.reshape(counts.counts.shape) / total)
+        for name in cfg.statistics:
+            try:
+                samples[name].append(STATISTICS[name](jcd))
+            except UndefinedStatisticError:
+                pass
+    out = {}
+    for name, values in samples.items():
+        drop = 1.0 - len(values) / cfg.replicates
+        defined = drop <= 0.5 and len(values) >= 2
+        out[name] = (float(np.std(values, ddof=1)) if defined else None, drop)
+    return out
+
+
+@pytest.mark.parametrize("replicates", [2, CHUNK, CHUNK + 1, 300])
+def test_chunked_bootstrap_matches_serial_replay(replicates):
+    # sparse TMSV counts: the high-click conditions are drawn in only some
+    # replicates of a chunk
+    cfg = cs.DetectorConfig(8, 0.5, 1e-4)
+    jcd = cs.joint_click_distribution(
+        cs.build_photon_distribution(cs.StateSpec.tmsv(np.sqrt(0.1))), cfg, cfg)
+    counts = cs.sample_counts(jcd, 10**4, seed=31)
+    boot_cfg = BootstrapConfig(replicates=replicates, seed=32)
+    batched = bootstrap(counts, boot_cfg)
+    serial = serial_replay(counts, boot_cfg)
+    for name, (stderr, drop) in serial.items():
+        assert batched[name].drop_fraction == drop
+        if stderr is None:
+            assert batched[name].stderr is None
+        else:
+            assert math.isclose(batched[name].stderr, stderr, rel_tol=1e-12)
