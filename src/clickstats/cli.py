@@ -10,7 +10,8 @@ Report JSON: flat object with ``schema_version``, one ``{value, stderr,
 defined}`` object per statistic, ``{violated, significance_sigmas}`` per
 verdict, and full provenance (seed, shots, parameters).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error (including more than
+model.MAX_BINS bins on an arm), 3 numerical failure.
 """
 from __future__ import annotations
 

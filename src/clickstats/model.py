@@ -11,6 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORMALIZATION_TOL = 1e-9
+# Largest bin count per arm. The statistics gather a (64, N+1, N/2+1, N/2+1)
+# moment-matrix stack per bootstrap chunk: 279 MB at 128 bins, 2.2 GB at 256.
+MAX_BINS = 128
 
 
 class ClickStatsError(Exception):
@@ -29,6 +32,12 @@ class UndefinedStatisticError(ClickStatsError):
 def _json_number(x: float | None) -> float | None:
     """JSON has no NaN or Infinity: non-finite numbers are written as null."""
     return x if x is None or math.isfinite(x) else None
+
+
+def _check_matrix(arr: np.ndarray, what: str) -> None:
+    if arr.ndim != 2 or not all(3 <= size <= MAX_BINS + 1 for size in arr.shape):
+        raise ValidationError(f"{what} must be a 2-d matrix with bins in "
+                              f"[2, {MAX_BINS}] on both arms, got shape {arr.shape}")
 
 
 def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
@@ -50,8 +59,8 @@ class DetectorConfig:
     dark_click: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bins < 2:
-            raise ValidationError(f"bins must be >= 2, got {self.bins}")
+        if not 2 <= self.bins <= MAX_BINS:
+            raise ValidationError(f"bins must be in [2, {MAX_BINS}], got {self.bins}")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValidationError(f"efficiency must be in [0, 1], got {self.efficiency}")
         if not 0.0 <= self.dark_click < 1.0:
@@ -98,10 +107,7 @@ class JointClickDistribution:
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 2:
-            raise ValidationError("click probabilities must be a 2-d matrix")
-        if probs.shape[0] < 3 or probs.shape[1] < 3:
-            raise ValidationError("bins >= 2 required on both arms")
+        _check_matrix(probs, "click probabilities")
         object.__setattr__(self, "probs", _as_readonly(probs, float))
         validate_distribution(self)
 
@@ -122,10 +128,7 @@ class CountMatrix:
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts)
-        if counts.ndim != 2:
-            raise ValidationError("counts must be a 2-d matrix")
-        if counts.shape[0] < 3 or counts.shape[1] < 3:
-            raise ValidationError("bins >= 2 required on both arms")
+        _check_matrix(counts, "counts")
         if not np.issubdtype(counts.dtype, np.integer):
             if not np.all(counts == np.floor(counts)):
                 raise ValidationError("counts must be integers")

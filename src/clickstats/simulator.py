@@ -1,14 +1,13 @@
 """Exact click distributions for the standard state families, and samplers.
 
 The detector model is an array of N on-off bins with uniform splitting,
-per-photon efficiency eta and per-bin dark-click probability nu. The analytic
-kernel uses the inclusion-exclusion identity
-
-    P(no click on a fixed set of s bins) = (1 - nu)^s (1 - s*eta/N)^n
-
-for a Fock input with n photons. Note nu is the per-bin dark-click
-*probability*; a linear-response dark rate nu' relates to it by
-nu' = -ln(1 - nu).
+per-photon efficiency eta and per-bin dark-click probability nu. The click
+kernel K(a|n) is an occupancy Markov chain with only non-negative terms
+(Sperling, Vogel & Agarwal, PRL 109, 093601 (2012)): the dark clicks occupy a
+Binomial(N, nu) number of bins, and each photon is detected with probability
+eta and adds a click with probability (N - k)/N when k bins already click.
+Note nu is the per-bin dark-click *probability*; a linear-response dark rate
+nu' relates to it by nu' = -ln(1 - nu).
 """
 from __future__ import annotations
 
@@ -103,53 +102,45 @@ def build_photon_distribution(spec: StateSpec) -> JointPhotonDistribution:
     raise ValidationError(f"unknown state variant: {spec.variant!r}")
 
 
-def fock_click_kernel(n: int, cfg: DetectorConfig) -> np.ndarray:
-    """Click-number distribution K(a | n) for an n-photon Fock input.
-
-    Inclusion-exclusion over the a clicking bins:
-    K(a|n) = C(N,a) sum_j (-1)^j C(a,j) (1-nu)^(N-a+j) (1 - (N-a+j) eta/N)^n.
-    """
-    if n < 0:
-        raise ValidationError("photon number must be >= 0")
-    big_n = cfg.bins
-    eta = cfg.efficiency
-    nu = cfg.dark_click
-    out = np.zeros(big_n + 1)
-    for a in range(big_n + 1):
-        acc = 0.0
-        for j in range(a + 1):
-            s = big_n - a + j
-            term = math.comb(a, j) * (1.0 - nu) ** s * (1.0 - s * eta / big_n) ** n
-            acc += term if j % 2 == 0 else -term
-        out[a] = math.comb(big_n, a) * acc
-    return out
-
-
 def click_kernel_matrix(n_max: int, cfg: DetectorConfig) -> np.ndarray:
-    """Stack of fock_click_kernel rows for n = 0..n_max, shape (n_max+1, N+1)."""
-    return np.vstack([fock_click_kernel(n, cfg) for n in range(n_max + 1)])
+    """Click-number distributions K(a|n) for n = 0..n_max photons, shape
+    (n_max+1, N+1), from one pass of the occupancy chain.
+
+    Row 0 is the dark-click occupancy, Binomial(N, nu); each further photon
+    moves the chain from k to k+1 clicking bins with probability eta (N-k)/N.
+    """
+    if n_max < 0:
+        raise ValidationError("photon number must be >= 0")
+    big_n, nu = cfg.bins, cfg.dark_click
+    k = np.arange(big_n + 1)
+    # C(N, k) <= C(128, 64) ~ 2.4e37 times powers in [0, 1]: no overflow or NaN
+    comb = np.array([math.comb(big_n, j) for j in range(big_n + 1)], dtype=float)
+    state = comb * nu ** k * (1.0 - nu) ** (big_n - k)
+    step = cfg.efficiency * (big_n - k) / big_n
+    rows = np.empty((n_max + 1, big_n + 1))
+    for n in range(n_max + 1):
+        rows[n] = state
+        # step <= 1 keeps state >= 0; step[N] = 0 keeps every click count <= N
+        moved = state * step
+        state -= moved
+        state[1:] += moved[:-1]
+    return rows
+
+
+def fock_click_kernel(n: int, cfg: DetectorConfig) -> np.ndarray:
+    """Click-number distribution K(a|n) for an n-photon Fock input."""
+    return click_kernel_matrix(n, cfg)[n]
 
 
 def joint_click_distribution(jpd: JointPhotonDistribution,
                              cfg_a: DetectorConfig,
                              cfg_b: DetectorConfig) -> JointClickDistribution:
     """Exact joint click statistics: both arms measured independently,
-    c(a,b) = sum_n p(n_A, n_B) K_A(a|n_A) K_B(b|n_B)."""
+    c(a,b) = sum_n p(n_A, n_B) K_A(a|n_A) K_B(b|n_B). Every term is
+    non-negative and kernel rows sum to 1, so c is normalised to rounding."""
     k_a = click_kernel_matrix(jpd.max_a, cfg_a)
     k_b = click_kernel_matrix(jpd.max_b, cfg_b)
-    c = k_a.T @ jpd.probs @ k_b
-    # kernel rows each sum to 1, so c inherits normalization up to rounding
-    c = np.clip(c, 0.0, None)
-    return JointClickDistribution(c / c.sum())
-
-
-def coherent_click_marginal(mean: float, cfg: DetectorConfig) -> np.ndarray:
-    """Closed-form marginal for coherent input: binomial over the N bins with
-    per-bin click probability 1 - (1-nu) exp(-eta*mean/N)."""
-    big_n = cfg.bins
-    p = 1.0 - (1.0 - cfg.dark_click) * math.exp(-cfg.efficiency * mean / big_n)
-    return np.array([math.comb(big_n, b) * p ** b * (1.0 - p) ** (big_n - b)
-                     for b in range(big_n + 1)])
+    return JointClickDistribution(k_a.T @ jpd.probs @ k_b)
 
 
 def sample_counts(jcd: JointClickDistribution, shots: int, seed: int) -> CountMatrix:

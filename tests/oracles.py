@@ -1,10 +1,11 @@
 """Independent brute-force oracles used by the test suite.
 
-These deliberately avoid the analytic inclusion-exclusion kernel: click
+These deliberately avoid the package's occupancy-chain kernel: click
 distributions are obtained by exhaustively enumerating every placement of the
 photons into the detector bins and convolving exact per-bin click
-probabilities. The criteria are written out again from their closed forms, so
-no code from the package is involved.
+probabilities, or, for coherent light, from the binomial closed form. The
+criteria are written out again from their closed forms, so no code from the
+package is involved.
 """
 import itertools
 import math
@@ -15,30 +16,53 @@ import numpy as np
 def enumerate_click_kernel(n: int, bins: int, eta: float, nu: float) -> np.ndarray:
     """Click-number distribution for an n-photon input by full enumeration.
 
-    Every one of the bins**n equally likely photon placements is enumerated;
-    a bin holding k photons clicks with probability 1 - (1-nu)(1-eta)**k
-    (each photon detected independently, plus an independent dark click).
-    The click-number distribution is the exact convolution of those
-    per-bin Bernoullis, averaged over placements.
+    Every one of the bins**n equally likely photon placements is enumerated,
+    grouped by multiset: the multiset with k_i photons in bin i stands for
+    n! / prod(k_i!) ordered placements. A bin holding k photons clicks with
+    probability 1 - (1-nu)(1-eta)**k (each photon detected independently,
+    plus an independent dark click). The click-number distribution is the
+    exact convolution of those per-bin Bernoullis, averaged over placements;
+    placements that differ by a permutation of the bins share it, so it is
+    convolved once per sorted occupancy.
     """
-    if n == 0:
-        occupancies = np.zeros((1, bins), dtype=np.int64)
-    else:
-        placements = np.array(list(itertools.product(range(bins), repeat=n)),
-                              dtype=np.int64)
-        occupancies = np.zeros((placements.shape[0], bins), dtype=np.int64)
-        rows = np.arange(placements.shape[0])
-        for j in range(n):
-            np.add.at(occupancies, (rows, placements[:, j]), 1)
-    p_click = 1.0 - (1.0 - nu) * (1.0 - eta) ** occupancies
-    poly = np.zeros((occupancies.shape[0], bins + 1))
+    multisets = np.array(list(itertools.combinations_with_replacement(range(bins), n)),
+                         dtype=np.int64)
+    occupancies = np.zeros((multisets.shape[0], bins), dtype=np.int64)
+    np.add.at(occupancies, (np.arange(multisets.shape[0])[:, None], multisets), 1)
+    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    weights = math.factorial(n) / factorials[occupancies].prod(axis=1) / bins ** n
+    # a sorted occupancy is fixed by its largest min(n, bins) entries
+    width = max(1, min(n, bins))
+    top, inverse = np.unique(-np.sort(-occupancies, axis=1)[:, :width], axis=0,
+                             return_inverse=True)
+    weights = np.bincount(inverse.ravel(), weights=weights)
+    patterns = np.zeros((top.shape[0], bins), dtype=np.int64)
+    patterns[:, :width] = top
+    p_click = 1.0 - (1.0 - nu) * (1.0 - eta) ** patterns
+    poly = np.zeros((patterns.shape[0], bins + 1))
     poly[:, 0] = 1.0
     for i in range(bins):
         p = p_click[:, i][:, None]
         shifted = np.zeros_like(poly)
         shifted[:, 1:] = poly[:, :-1]
         poly = poly * (1.0 - p) + shifted * p
-    return poly.mean(axis=0)
+    return weights @ poly
+
+
+def coherent_click_marginal(mean: float, bins: int, eta: float, nu: float) -> np.ndarray:
+    """Closed-form click distribution of a coherent state: binomial over the
+    bins with per-bin click probability 1 - (1-nu) exp(-eta*mean/bins)."""
+    p = 1.0 - (1.0 - nu) * math.exp(-eta * mean / bins)
+    return np.array([math.comb(bins, b) * p ** b * (1.0 - p) ** (bins - b)
+                     for b in range(bins + 1)])
+
+
+def poisson_pmf(mean: float, n_max: int) -> np.ndarray:
+    """Poisson pmf for n = 0..n_max, not renormalised; with n_max well past
+    the mean the missing tail is below rounding."""
+    n = np.arange(n_max + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in n])
+    return np.exp(n * math.log(mean) - mean - log_fact)
 
 
 def random_click_distribution(rng, bins_a=8, bins_b=8):

@@ -97,20 +97,23 @@ def test_criterion_4_coherent_tightness():
 def test_criterion_5_tmsv_exact_pattern():
     # Exact TMSV: pair-correlated photon numbers make a click in arm A herald
     # a nearly vacuum-free state in arm B (conditional Q about -0.41), so all
-    # three criteria fire. Expected values come from the enumeration oracle.
+    # three criteria fire. Expected values come from the enumeration oracle,
+    # cut at the package's 12 pair photons so that it holds the same state;
+    # the photon numbers 8..12 populate row a = 8, where frak_n's minimum sits
+    # (c(8) ~ 1.7e-13). Package and oracle agree to 1e-12.
     jcd = _exact_jcd(cs.StateSpec.tmsv(np.sqrt(0.1)), eta=0.5, nu=1e-4)
     gamma_margin = cs.pearson(jcd) - cs.pearson_cl_max(jcd)
     kappa_margin = cs.kappa(jcd) - cs.kappa_cl_max(jcd)
     eig_1 = min_eigenvalue(moment_matrix(jcd, 1))[0]
     frak_n = cs.conditional_nonclassicality_number(jcd)
-    _, oracle_kappa, oracle_eigs = criterion_margins(
-        tmsv_click_distribution(0.1, 8, 0.5, 1e-4))
-    # frak_n's minimum sits at a = 8 (c(8) ~ 1e-13), below the kernel's
-    # cancellation error, so only its sign is checked.
+    oracle_gamma, oracle_kappa, oracle_eigs = criterion_margins(
+        tmsv_click_distribution(0.1, 8, 0.5, 1e-4, n_max=12))
     tmsv_ok = (gamma_margin > 0.0
-               and abs(kappa_margin - oracle_kappa) <= 1e-4
-               and abs(eig_1 - oracle_eigs[1]) <= 1e-6
-               and frak_n < 0.0)
+               and abs(gamma_margin - oracle_gamma) <= 1e-12
+               and abs(kappa_margin - oracle_kappa) <= 1e-12
+               and abs(eig_1 - oracle_eigs[1]) <= 1e-12
+               and frak_n < 0.0
+               and abs(frak_n - oracle_eigs.min()) <= 1e-12)
 
     # Joint but not conditional: weak PDC pairs at low efficiency violate the
     # gamma bound but not the kappa bound, in the oracle and in the package.
@@ -127,7 +130,8 @@ def test_criterion_5_tmsv_exact_pattern():
     assert _report(
         5, f"TMSV exact: gamma margin {gamma_margin:.3g}, kappa margin "
            f"{kappa_margin:.6f} (oracle {oracle_kappa:.6f}), a=1 eigenvalue "
-           f"{eig_1:.4e} (oracle {oracle_eigs[1]:.4e}), frak_n {frak_n:.3g}; "
+           f"{eig_1:.4e} (oracle {oracle_eigs[1]:.4e}), frak_n {frak_n:.6f} "
+           f"(oracle {oracle_eigs.min():.6f}); "
            "PDC gamma/kappa margins "
            + ", ".join(f"{g:+.4f}/{k:+.4f}" for g, k, _, _ in pdc), ok)
 

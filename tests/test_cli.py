@@ -74,6 +74,22 @@ def test_read_counts_dimension_mismatch(tmp_path):
     assert run(["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]) == 2
 
 
+def test_simulate_beyond_max_bins_is_data_error(tmp_path, capsys):
+    code = run(["simulate", "--state", "coherent", "--mean-a", 0.5, "--bins", 129,
+                "--shots", 10, "--seed", 1, "--counts-out", tmp_path / "c.csv"])
+    assert code == 2
+    assert "[2, 128]" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_counts_beyond_max_bins_is_data_error(tmp_path, capsys):
+    # a well-formed 130 x 3 matrix, so only the bin bound can reject it
+    path = tmp_path / "wide.csv"
+    path.write_text("# bins_a=129 bins_b=2\n" + "1,0,0\n" * 130)
+    assert run(["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]) == 2
+    assert "[2, 128]" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert run(["simulate", "--state", "nonsense"]) == 1
 

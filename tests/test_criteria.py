@@ -8,7 +8,7 @@ from clickstats import criteria, stats
 from clickstats.criteria import min_eigenvalue, moment_matrix
 from clickstats.model import UndefinedStatisticError
 
-from oracles import random_click_distribution
+from oracles import poisson_pmf, random_click_distribution
 
 SP_FRAK_N = (1.0 - math.sqrt(17.0 / 16.0)) / 2.0
 
@@ -241,6 +241,48 @@ def test_evaluate_all_exact_split_photon():
     assert report.gamma_test.violated is False
     assert report.frak_n_test.violated is True
     assert report.summed_click_mean.value == pytest.approx(1.0, abs=1e-12)
+
+
+# (mean_a, mean_b, efficiency, dark-click probability)
+COHERENT_SETTINGS = [(0.5, 0.5, 0.5, 1e-4), (0.4, 0.7, 0.9, 0.0),
+                     (2.0, 1.0, 0.8, 0.01), (0.05, 0.05, 0.8, 1e-4)]
+
+
+@pytest.mark.parametrize("bins", [2, 3, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("setting", COHERENT_SETTINGS)
+def test_exact_coherent_verdicts_not_violated(bins, setting):
+    # coherent light sits on every classical bound; the exact margins are
+    # rounding and photon-number truncation, within EXACT_MARGIN_TOL
+    mean_a, mean_b, eta, nu = setting
+    cfg = cs.DetectorConfig(bins, eta, nu)
+    jpd = cs.build_photon_distribution(cs.StateSpec.coherent(mean_a, mean_b))
+    report = cs.evaluate_all(cs.joint_click_distribution(jpd, cfg, cfg))
+    assert (report.kappa_test.violated, report.gamma_test.violated,
+            report.frak_n_test.violated) == (False, False, False)
+
+
+def test_exact_verdict_tolerance():
+    tol = criteria.EXACT_MARGIN_TOL
+    assert 0.0 < tol <= 1e-9
+    assert criteria._as_verdict(tol / 2, None, 3.0).violated is False
+    assert criteria._as_verdict(2 * tol, None, 3.0).violated is True
+
+
+@pytest.mark.parametrize("bins", [16, 32])
+@pytest.mark.parametrize("eta,nu", [(0.5, 1e-4), (0.9, 0.01), (0.2, 0.0)])
+def test_exact_coherent_light_within_classical_bounds(bins, eta, nu):
+    # At 16 bins the alternating-series kernel made this state read
+    # frak_n = -0.159. An uncut Poisson keeps the state exactly coherent (the
+    # package's TAIL_MASS cut alone moves the kappa margin by ~1e-11), so
+    # every margin is rounding.
+    pmf = poisson_pmf(0.5, 60)
+    jpd = cs.JointPhotonDistribution(np.outer(pmf, pmf) / pmf.sum() ** 2)
+    cfg = cs.DetectorConfig(bins, eta, nu)
+    values = criteria.stack_statistics(
+        cs.joint_click_distribution(jpd, cfg, cfg).probs).values
+    assert values["kappa_margin"] <= 1e-12
+    assert values["gamma_margin"] <= 1e-12
+    assert -values["frak_n"] <= 1e-12
 
 
 def test_evaluate_all_undefined_components():

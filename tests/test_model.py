@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import clickstats as cs
-from clickstats.model import ValidationError
+from clickstats.model import MAX_BINS, ValidationError
 from clickstats.uncertainty import BootstrapStat
 
 
@@ -18,6 +18,16 @@ def test_detector_config_validation():
         cs.DetectorConfig(bins=8, efficiency=1.2)
     with pytest.raises(ValidationError):
         cs.DetectorConfig(bins=8, dark_click=1.0)
+
+
+def test_bins_bounded_by_max_bins():
+    cs.DetectorConfig(bins=MAX_BINS)
+    with pytest.raises(ValidationError):
+        cs.DetectorConfig(bins=MAX_BINS + 1)
+    with pytest.raises(ValidationError):
+        cs.CountMatrix(np.ones((MAX_BINS + 2, 3), dtype=np.int64))
+    with pytest.raises(ValidationError):
+        cs.JointClickDistribution(np.full((3, MAX_BINS + 2), 1.0 / (3 * (MAX_BINS + 2))))
 
 
 def test_normalize_rejects_single_bin_matrix():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats as sps
 
 import clickstats as cs
-from clickstats.model import ValidationError
-from clickstats.simulator import click_kernel_matrix, coherent_click_marginal
+from clickstats.model import MAX_BINS, ValidationError
+from clickstats.simulator import click_kernel_matrix
 
-from oracles import enumerate_click_kernel
+from oracles import coherent_click_marginal, enumerate_click_kernel, poisson_pmf
 
 
 def test_state_spec_validation():
@@ -118,9 +119,57 @@ def test_coherent_closed_form(nu):
     mean_a, mean_b = 0.8, 1.4
     jpd = cs.build_photon_distribution(cs.StateSpec.coherent(mean_a, mean_b))
     jcd = cs.joint_click_distribution(jpd, cfg_a, cfg_b)
-    expected = np.outer(coherent_click_marginal(mean_a, cfg_a),
-                        coherent_click_marginal(mean_b, cfg_b))
+    expected = np.outer(coherent_click_marginal(mean_a, 8, 0.6, nu),
+                        coherent_click_marginal(mean_b, 8, 0.9, nu))
     assert np.max(np.abs(jcd.probs - expected)) < 1e-10
+
+
+@given(bins=st.integers(2, MAX_BINS),
+       eta=st.floats(0.0, 1.0),
+       nu=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                    st.sampled_from([0.999, 0.999999, 1.0 - 1e-12])),
+       n_max=st.integers(0, 60))
+def test_kernel_rows_nonnegative_and_normalised(bins, eta, nu, n_max):
+    kernel = click_kernel_matrix(n_max, cs.DetectorConfig(bins, eta, nu))
+    assert kernel.shape == (n_max + 1, bins + 1)
+    assert np.all(kernel >= 0.0)
+    assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("eta,nu", [(0.6, 0.0), (0.9, 0.01)])
+def test_kernel_matches_enumeration_64_bins(eta, nu):
+    kernel = click_kernel_matrix(3, cs.DetectorConfig(64, eta, nu))
+    for n in range(4):
+        oracle = enumerate_click_kernel(n, 64, eta, nu)
+        assert np.max(np.abs(kernel[n] - oracle)) < 1e-14
+
+
+@pytest.mark.parametrize("bins", [2, 8, 16, 32, 64, MAX_BINS])
+@pytest.mark.parametrize("mean,eta,nu", [(0.5, 0.5, 1e-4), (3.0, 0.9, 0.02),
+                                         (20.0, 0.7, 0.3)])
+def test_kernel_coherent_closed_form_to_max_bins(bins, mean, eta, nu):
+    # a Poisson average of the kernel rows is the binomial closed form
+    kernel = click_kernel_matrix(120, cs.DetectorConfig(bins, eta, nu))
+    got = poisson_pmf(mean, 120) @ kernel
+    assert np.max(np.abs(got - coherent_click_marginal(mean, bins, eta, nu))) < 1e-13
+
+
+def test_fock_click_kernel_is_a_kernel_row():
+    cfg = cs.DetectorConfig(16, 0.4, 1e-3)
+    assert np.array_equal(cs.fock_click_kernel(7, cfg), click_kernel_matrix(7, cfg)[7])
+    with pytest.raises(ValidationError):
+        cs.fock_click_kernel(-1, cfg)
+
+
+def test_joint_distribution_has_no_negative_mass():
+    # the exact-sweep settings where the alternating series went negative
+    for bins in (8, 16, 32):
+        cfg = cs.DetectorConfig(bins, 0.5, 1e-4)
+        for spec in (cs.StateSpec.coherent(0.5, 0.5), cs.StateSpec.tmsv(0.5)):
+            jpd = cs.build_photon_distribution(spec)
+            k_a = click_kernel_matrix(jpd.max_a, cfg)
+            k_b = click_kernel_matrix(jpd.max_b, cfg)
+            assert np.all(k_a.T @ jpd.probs @ k_b >= 0.0)
 
 
 def test_mean_clicks_monotone_in_efficiency():
@@ -210,6 +259,21 @@ def test_physical_sampler_matches_exact_distribution():
     exp = np.append(expected[keep], expected[~keep].sum())
     _, p = sps.chisquare(obs, exp * obs.sum() / exp.sum())
     assert p > 0.001
+
+
+def test_physical_sampler_matches_kernel_32_bins():
+    # broad thermal marginals reach click numbers up to ~20, the rows where the
+    # old alternating-series kernel was wrong by 1e-2. Every cell of each arm's
+    # marginal lies within 5 binomial standard errors of the kernel's.
+    jpd = cs.build_photon_distribution(cs.StateSpec.tmsv(np.sqrt(0.8)))
+    cfg = cs.DetectorConfig(32, 0.7, 0.02)
+    shots = 10**5
+    counts = cs.sample_counts_physical(jpd, cfg, cfg, shots, seed=32).counts
+    exact = cs.joint_click_distribution(jpd, cfg, cfg).probs
+    for observed, p in ((counts.sum(axis=1), exact.sum(axis=1)),
+                        (counts.sum(axis=0), exact.sum(axis=0))):
+        sigma = np.sqrt(shots * p * (1.0 - p))
+        assert np.all(np.abs(observed - shots * p) <= 5.0 * sigma + 1.0)
 
 
 def test_thermal_marginal_of_tmsv():
