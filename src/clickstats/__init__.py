@@ -2,8 +2,7 @@
 
 from .model import (ClickStatsError, CountMatrix, CriteriaReport, DetectorConfig,
                     Estimate, JointClickDistribution, JointPhotonDistribution,
-                    UndefinedStatisticError, ValidationError, Verdict, normalize,
-                    validate_distribution)
+                    UndefinedStatisticError, ValidationError, Verdict, normalize)
 from .simulator import (StateSpec, build_photon_distribution, fock_click_kernel,
                         joint_click_distribution, sample_counts,
                         sample_counts_physical)
@@ -16,7 +15,7 @@ __all__ = [
     "ClickStatsError", "ValidationError", "UndefinedStatisticError",
     "DetectorConfig", "JointPhotonDistribution", "JointClickDistribution",
     "CountMatrix", "CriteriaReport", "Estimate", "Verdict",
-    "normalize", "validate_distribution",
+    "normalize",
     "StateSpec", "build_photon_distribution", "fock_click_kernel",
     "joint_click_distribution", "sample_counts", "sample_counts_physical",
     "binomial_q", "kappa", "kappa_cl_max", "pearson", "pearson_cl_max",

@@ -58,8 +58,15 @@ def _parse_header(line: str, path) -> tuple[int, int]:
         raise ValidationError(f"{path}: malformed header line {line!r}") from exc
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text") from exc
+
+
 def read_counts_csv(path) -> CountMatrix:
-    lines = Path(path).read_text().strip().splitlines()
+    lines = _read_text(path).strip().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ValidationError(f"{path}: missing '# bins_a=... bins_b=...' header")
     bins_a, bins_b = _parse_header(lines[0], path)
@@ -135,7 +142,9 @@ def cmd_analyze(args) -> int:
     jcd = normalize(counts)
     errors = bootstrap(counts, BootstrapConfig(replicates=args.replicates, seed=seed))
     meta_path = Path(str(args.counts) + ".meta.json")
-    parameters = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    parameters = json.loads(_read_text(meta_path)) if meta_path.exists() else {}
+    if not isinstance(parameters, dict):
+        raise ValidationError(f"{meta_path}: sidecar must be a JSON object")
     label = args.label or parameters.get("label") or Path(args.counts).stem
     condition_counts = tuple(int(v) for v in counts.counts.sum(axis=1))
     report = criteria.evaluate_all(
@@ -203,8 +212,7 @@ def cmd_report(args) -> int:
         raise ValidationError("no report files given")
     reports = []
     for path in args.reports:
-        with open(path) as fh:
-            reports.append(CriteriaReport.from_dict(json.load(fh)))
+        reports.append(CriteriaReport.from_dict(json.loads(_read_text(path))))
     table = render_report_table(reports)
     if args.out:
         Path(args.out).write_text(table + "\n")

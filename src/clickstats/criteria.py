@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (CriteriaReport, Estimate, JointClickDistribution,
-                    UndefinedStatisticError, Verdict)
-from .stats import (conditional_normal_moments, conditionals, covariance,
-                    marginals, mean, moment_weights, summed_click_mean, variance)
+                    UndefinedStatisticError, ValidationError, Verdict)
+from .stats import (conditionals, covariance, marginals, mean, moment_weights,
+                    summed_click_mean, variance)
 
 # The statistics of a stack, each with the reason it can be undefined.
 WHY_UNDEFINED = {
@@ -182,8 +182,12 @@ def conditional_nonclassicality_number(jcd: JointClickDistribution) -> float:
 
 def moment_matrix(jcd: JointClickDistribution, a: int) -> np.ndarray:
     """Conditional moment matrix <:pi_B^(m+m'):>_|a, m, m' = 0..floor(N_B/2)."""
-    hankel = _hankel(jcd.bins_b)
-    return conditional_normal_moments(jcd, a, hankel[-1, -1]).values[hankel]
+    if not 0 <= a <= jcd.bins_a:
+        raise ValidationError(f"condition a={a} out of range 0..{jcd.bins_a}")
+    moments = stack_statistics(jcd.probs).moments[a]
+    if np.isnan(moments[0]):
+        raise UndefinedStatisticError(f"unsupported condition: c(a={a}) = 0")
+    return moments[_hankel(jcd.bins_b)]
 
 
 def min_eigenvalue(matrix: np.ndarray) -> tuple[float, np.ndarray]:

@@ -40,6 +40,15 @@ def _check_matrix(arr: np.ndarray, what: str) -> None:
                               f"[2, {MAX_BINS}] on both arms, got shape {arr.shape}")
 
 
+def _check_distribution(probs: np.ndarray, what: str) -> None:
+    """Non-negative entries summing to 1; NaN and infinities fail both tests."""
+    if np.any(probs < 0):
+        raise ValidationError(f"negative probability in {what} distribution")
+    total = probs.sum()
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
+        raise ValidationError(f"{what} distribution not normalized: sum={total!r}")
+
+
 def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
@@ -83,11 +92,7 @@ class JointPhotonDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise ValidationError("photon probabilities must be a 2-d matrix")
-        if np.any(probs < 0):
-            raise ValidationError("negative probability in photon distribution")
-        total = probs.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(f"photon distribution not normalized: sum={total!r}")
+        _check_distribution(probs, "photon")
         object.__setattr__(self, "probs", _as_readonly(probs, float))
 
     @property
@@ -108,8 +113,8 @@ class JointClickDistribution:
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
         _check_matrix(probs, "click probabilities")
+        _check_distribution(probs, "click")
         object.__setattr__(self, "probs", _as_readonly(probs, float))
-        validate_distribution(self)
 
     @property
     def bins_a(self) -> int:
@@ -157,16 +162,6 @@ def normalize(counts: CountMatrix) -> JointClickDistribution:
     return JointClickDistribution(counts.counts / total)
 
 
-def validate_distribution(d: JointClickDistribution) -> None:
-    """Check non-negativity and unit normalization of a click distribution."""
-    probs = np.asarray(d.probs, dtype=float)
-    if np.any(probs < 0):
-        raise ValidationError("negative probability in click distribution")
-    total = probs.sum()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValidationError(f"click distribution not normalized: sum={total!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class Estimate:
     """A reported statistic: point value, bootstrap standard error, validity flag."""
@@ -185,9 +180,10 @@ class Estimate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Estimate":
-        value = d["value"]
+        value, stderr = d["value"], d.get("stderr")
         return cls(value=float("nan") if value is None else float(value),
-                   stderr=d.get("stderr"), defined=bool(d.get("defined", True)))
+                   stderr=None if stderr is None else float(stderr),
+                   defined=bool(d.get("defined", True)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,22 +258,28 @@ class CriteriaReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CriteriaReport":
+        if not isinstance(d, dict):
+            raise ValidationError("report must be a JSON object")
         if d.get("schema_version") != 1:
             raise ValidationError(
                 f"unsupported report schema version: {d.get('schema_version')!r}")
-        prov = d.get("provenance", {})
-        kwargs = {name: Estimate.from_dict(d[name]) for name in cls.STAT_FIELDS}
-        kwargs.update({name: Verdict.from_dict(d[name]) for name in cls.VERDICT_FIELDS})
-        return cls(
-            bins_a=prov["bins_a"],
-            bins_b=prov["bins_b"],
-            total_shots=prov.get("shots"),
-            bootstrap_replicates=prov.get("bootstrap_replicates"),
-            seed=prov.get("seed"),
-            threshold=prov.get("threshold", 3.0),
-            label=d.get("label", ""),
-            moment_warning=prov.get("moment_warning", False),
-            condition_counts=tuple(prov.get("condition_counts", ())),
-            parameters=prov.get("parameters", {}),
-            **kwargs,
-        )
+        try:
+            prov = d.get("provenance", {})
+            kwargs = {name: Estimate.from_dict(d[name]) for name in cls.STAT_FIELDS}
+            kwargs.update({name: Verdict.from_dict(d[name])
+                           for name in cls.VERDICT_FIELDS})
+            return cls(
+                bins_a=prov["bins_a"],
+                bins_b=prov["bins_b"],
+                total_shots=prov.get("shots"),
+                bootstrap_replicates=prov.get("bootstrap_replicates"),
+                seed=prov.get("seed"),
+                threshold=prov.get("threshold", 3.0),
+                label=str(d.get("label", "")),
+                moment_warning=prov.get("moment_warning", False),
+                condition_counts=tuple(prov.get("condition_counts", ())),
+                parameters=prov.get("parameters", {}),
+                **kwargs,
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValidationError(f"malformed report: {exc!r}") from exc

@@ -26,7 +26,7 @@ TAIL_MASS = 1e-12
 class StateSpec:
     """Parameterization of a two-mode input state.
 
-    variant is one of "coherent", "tmsv", "split_photon", "custom".
+    variant is one of "coherent", "tmsv", "split_photon".
     """
 
     variant: str
@@ -34,12 +34,12 @@ class StateSpec:
     mean_b: float = 0.0
     squeezing: float = 0.0   # lambda for tmsv, in (0, 1)
     splitting: float = 0.0   # t for split_photon, in (0, 1)
-    photon_dist: JointPhotonDistribution | None = None
 
     @classmethod
     def coherent(cls, mean_a: float, mean_b: float) -> "StateSpec":
-        if mean_a < 0 or mean_b < 0:
-            raise ValidationError("coherent mean photon numbers must be >= 0")
+        if not (0.0 <= mean_a < math.inf and 0.0 <= mean_b < math.inf):
+            raise ValidationError("coherent mean photon numbers must be finite "
+                                  f"and >= 0, got {mean_a}, {mean_b}")
         return cls("coherent", mean_a=mean_a, mean_b=mean_b)
 
     @classmethod
@@ -53,10 +53,6 @@ class StateSpec:
         if not 0.0 < t < 1.0:
             raise ValidationError(f"splitting amplitude must be in (0, 1), got {t}")
         return cls("split_photon", splitting=t)
-
-    @classmethod
-    def custom(cls, dist: JointPhotonDistribution) -> "StateSpec":
-        return cls("custom", photon_dist=dist)
 
 
 def _poisson_truncated(mean: float) -> np.ndarray:
@@ -95,10 +91,6 @@ def build_photon_distribution(spec: StateSpec) -> JointPhotonDistribution:
         probs[1, 0] = t2
         probs[0, 1] = 1.0 - t2
         return JointPhotonDistribution(probs, label=f"split_photon({spec.splitting})")
-    if spec.variant == "custom":
-        if spec.photon_dist is None:
-            raise ValidationError("custom state requires a photon distribution")
-        return spec.photon_dist
     raise ValidationError(f"unknown state variant: {spec.variant!r}")
 
 

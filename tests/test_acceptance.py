@@ -53,13 +53,14 @@ def test_criterion_2_moment_identities():
         ca, cb = stats.marginals(jcd)
         for dist, n in ((ca, 8), (cb, 8)):
             e, v = stats.mean(dist), stats.variance(dist)
-            lhs = (stats.normal_moment(dist, 2, n)
-                   - stats.normal_moment(dist, 1, n) ** 2)
+            moments = stats.moment_weights(n, 2) @ dist   # <:pi^m:>, m = 0..2
+            lhs = moments[2] - moments[1] ** 2
             rhs = (n * v - e * (n - e)) / (n**2 * (n - 1))
             worst = max(worst, abs(lhs - rhs))
-        joint = stats.joint_normal_moment(jcd)
-        lhs = 64 * (joint - stats.normal_moment(ca, 1, 8)
-                    * stats.normal_moment(cb, 1, 8))
+        # <:pi_A pi_B:> = E(ab) / (N_A N_B)
+        joint = float(np.arange(9) @ jcd.probs @ np.arange(9)) / 64
+        lhs = 64 * (joint - (stats.moment_weights(8, 1) @ ca)[1]
+                    * (stats.moment_weights(8, 1) @ cb)[1])
         worst = max(worst, abs(lhs - stats.covariance(jcd)))
     ok = worst <= 1e-12
     assert _report(2, f"variance/covariance identities, max err {worst:.2e}", ok)

@@ -90,6 +90,73 @@ def test_counts_beyond_max_bins_is_data_error(tmp_path, capsys):
     assert "[2, 128]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_non_finite_mean_is_data_error(tmp_path, capsys, value):
+    code = run(["simulate", "--state", "coherent", "--mean-a", value, "--shots", 10,
+                "--seed", 1, "--counts-out", tmp_path / "c.csv"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def _counts_file(tmp_path):
+    path = tmp_path / "c.csv"
+    write_counts_csv(path, cs.CountMatrix(np.array([[5, 1, 0], [1, 2, 0], [0, 0, 1]])))
+    return path
+
+
+def _report_file(tmp_path, edit):
+    cfg = cs.DetectorConfig(8, 0.5, 1e-4)
+    jcd = cs.joint_click_distribution(
+        cs.build_photon_distribution(cs.StateSpec.tmsv(0.3)), cfg, cfg)
+    data = cs.evaluate_all(jcd).to_dict()
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(edit(data)))
+    return ["report", path]
+
+
+def _non_utf8_counts(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"# bins_a=2 bins_b=2\n\xff\xfe,0,0\n0,0,0\n0,0,1\n")
+    return ["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]
+
+
+def _sidecar_list(tmp_path):
+    path = _counts_file(tmp_path)
+    (tmp_path / "c.csv.meta.json").write_text("[1, 2]")
+    return ["analyze", "--counts", path, "--replicates", 10, "--seed", 1,
+            "--report-out", tmp_path / "r.json"]
+
+
+def _without(data, key):
+    del data[key]
+    return data
+
+
+def _without_bins_a(data):
+    del data["provenance"]["bins_a"]
+    return data
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (_non_utf8_counts, "not UTF-8"),
+    (_sidecar_list, "sidecar must be a JSON object"),
+    (lambda p: _report_file(p, lambda d: _without(d, "frak_n")), "malformed report"),
+    (lambda p: _report_file(p, lambda d: [d]), "report must be a JSON object"),
+    (lambda p: _report_file(p, _without_bins_a), "malformed report"),
+    (lambda p: _report_file(p, lambda d: {**d, "kappa": "0.5"}), "malformed report"),
+    (lambda p: _report_file(p, lambda d: {**d, "frak_n": {"value": 1.0, "stderr": "x"}}),
+     "malformed report"),
+], ids=["non-utf8-counts", "sidecar-list", "report-missing-field",
+        "report-list", "provenance-without-bins_a", "estimate-is-string",
+        "stderr-is-string"])
+def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, message):
+    assert run(make_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     assert run(["simulate", "--state", "nonsense"]) == 1
 

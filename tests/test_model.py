@@ -65,13 +65,28 @@ def test_normalize_scale_invariant():
 
 def test_validate_distribution():
     probs = np.full((3, 3), 1.0 / 9.0)
-    cs.validate_distribution(cs.JointClickDistribution(probs))
+    cs.JointClickDistribution(probs)
     bad = probs.copy()
     bad[0, 0] = -1e-3
     with pytest.raises(ValidationError, match="negative"):
         cs.JointClickDistribution(bad)
     with pytest.raises(ValidationError, match="not normalized"):
         cs.JointClickDistribution(probs * 0.9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_distributions_reject_non_finite(bad):
+    with pytest.raises(ValidationError, match="not normalized"):
+        cs.JointClickDistribution(np.full((3, 3), bad))
+    with pytest.raises(ValidationError, match="not normalized"):
+        cs.JointPhotonDistribution(np.full((2, 2), bad))
+    probs = np.full((3, 3), 1.0 / 8.0)
+    probs[1, 1] = bad
+    probs[2, 2] = 0.0
+    with pytest.raises(ValidationError, match="not normalized"):
+        cs.JointClickDistribution(probs)
+    with pytest.raises(ValidationError, match="negative"):
+        cs.JointPhotonDistribution(-np.full((2, 2), math.inf))
 
 
 def test_types_are_immutable():

@@ -21,6 +21,13 @@ def test_state_spec_validation():
         cs.StateSpec.coherent(-0.1, 0.0)
 
 
+@pytest.mark.parametrize("means", [(float("nan"), 0.5), (0.5, float("nan")),
+                                   (float("inf"), 0.5), (0.5, float("inf"))])
+def test_coherent_requires_finite_means(means):
+    with pytest.raises(ValidationError, match="finite"):
+        cs.StateSpec.coherent(*means)
+
+
 def test_split_photon_distribution():
     jpd = cs.build_photon_distribution(cs.StateSpec.split_photon(2 ** -0.5))
     assert jpd.probs[1, 0] == pytest.approx(0.5)

@@ -5,9 +5,21 @@ import pytest
 
 import clickstats as cs
 from clickstats import stats
+from clickstats.criteria import moment_matrix, stack_statistics
 from clickstats.model import UndefinedStatisticError, ValidationError
 
 from oracles import random_click_distribution
+
+
+def normal_moment(dist, m, bins):
+    """<:pi^m:> of an N-bin click distribution."""
+    return (stats.moment_weights(bins, m) @ dist)[m]
+
+
+def joint_normal_moment(jcd):
+    """<:pi_A pi_B:> = E(ab) / (N_A N_B)."""
+    a, b = np.arange(jcd.bins_a + 1), np.arange(jcd.bins_b + 1)
+    return float(a @ jcd.probs @ b) / (jcd.bins_a * jcd.bins_b)
 
 
 def ideal_split_photon_jcd():
@@ -40,17 +52,22 @@ def test_conditional_independent():
     jcd = coherent_product_jcd()
     _, cb = stats.marginals(jcd)
     for a in range(9):
-        assert np.allclose(stats.conditional(jcd, a), cb, atol=1e-12)
+        assert np.allclose(stats.conditionals(jcd)[a], cb, atol=1e-12)
 
 
 def test_conditional_split_photon():
-    cond = stats.conditional(ideal_split_photon_jcd(), 1)
+    cond = stats.conditionals(ideal_split_photon_jcd())[1]
     assert cond[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_unsupported():
+    jcd = ideal_split_photon_jcd()
+    assert not stats.conditionals(jcd)[5].any()
     with pytest.raises(UndefinedStatisticError, match="unsupported condition"):
-        stats.conditional(ideal_split_photon_jcd(), 5)
+        moment_matrix(jcd, 5)
+    for a in (-1, 9):
+        with pytest.raises(ValidationError, match="out of range"):
+            moment_matrix(jcd, a)
 
 
 def test_mean_variance_point_mass():
@@ -73,12 +90,12 @@ def test_covariance_split_photon():
 def test_normal_moment_order_zero():
     rng = np.random.default_rng(0)
     dist = rng.dirichlet(np.ones(9))
-    assert stats.normal_moment(dist, 0, 8) == pytest.approx(1.0)
+    assert normal_moment(dist, 0, 8) == pytest.approx(1.0)
 
 
 def test_normal_moment_rejects_large_order():
     with pytest.raises(ValidationError):
-        stats.normal_moment(np.full(9, 1.0 / 9.0), 9, 8)
+        normal_moment(np.full(9, 1.0 / 9.0), 9, 8)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.7])
@@ -91,15 +108,15 @@ def test_normal_moment_binomial_fixed_point(p):
         oracle = sum(math.comb(b, m) / math.comb(bins, m) * dist[b]
                      for b in range(bins + 1))
         assert oracle == pytest.approx(p**m, abs=1e-12)
-        assert stats.normal_moment(dist, m, bins) == pytest.approx(p**m, abs=1e-12)
+        assert normal_moment(dist, m, bins) == pytest.approx(p**m, abs=1e-12)
 
 
 def test_normal_moment_single_click():
     dist = np.zeros(9)
     dist[1] = 1.0
-    assert stats.normal_moment(dist, 1, 8) == pytest.approx(1.0 / 8.0)
+    assert normal_moment(dist, 1, 8) == pytest.approx(1.0 / 8.0)
     for m in range(2, 9):
-        assert stats.normal_moment(dist, m, 8) == 0.0
+        assert normal_moment(dist, m, 8) == 0.0
 
 
 def test_variance_identity_random():
@@ -110,8 +127,7 @@ def test_variance_identity_random():
         n = 8
         e = stats.mean(dist)
         v = stats.variance(dist)
-        lhs = (stats.normal_moment(dist, 2, n)
-               - stats.normal_moment(dist, 1, n) ** 2)
+        lhs = normal_moment(dist, 2, n) - normal_moment(dist, 1, n) ** 2
         rhs = (n * v - e * (n - e)) / (n**2 * (n - 1))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -121,10 +137,10 @@ def test_covariance_identity_random():
     for _ in range(100):
         jcd = cs.JointClickDistribution(random_click_distribution(rng))
         na, nb = jcd.bins_a, jcd.bins_b
-        joint = stats.joint_normal_moment(jcd)
+        joint = joint_normal_moment(jcd)
         ca, cb = stats.marginals(jcd)
-        lhs = na * nb * (joint - stats.normal_moment(ca, 1, na)
-                         * stats.normal_moment(cb, 1, nb))
+        lhs = na * nb * (joint - normal_moment(ca, 1, na)
+                         * normal_moment(cb, 1, nb))
         assert lhs == pytest.approx(stats.covariance(jcd), abs=1e-12)
 
 
@@ -136,7 +152,7 @@ def test_law_of_total_variance():
         total = 0.0
         means = []
         for a in range(9):
-            cond = stats.conditional(jcd, a)
+            cond = stats.conditionals(jcd)[a]
             total += ca[a] * stats.variance(cond)
             means.append(stats.mean(cond))
         means = np.array(means)
@@ -146,17 +162,28 @@ def test_law_of_total_variance():
 
 
 def test_conditional_moments_split_photon():
-    jcd = ideal_split_photon_jcd()
-    nm0 = stats.conditional_normal_moments(jcd, 0, 4)
-    assert np.allclose(nm0.values, [1.0, 1.0 / 8.0, 0.0, 0.0, 0.0], atol=1e-12)
-    nm1 = stats.conditional_normal_moments(jcd, 1, 4)
-    assert np.allclose(nm1.values, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
-    assert nm0.physical
+    moments = stack_statistics(ideal_split_photon_jcd().probs).moments
+    nm0, nm1 = moments[0, :5], moments[1, :5]
+    assert np.allclose(nm0, [1.0, 1.0 / 8.0, 0.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(nm1, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
+    assert np.all((nm0 >= 0.0) & (nm0 <= 1.0))
 
 
 def test_conditional_moments_coherent_product():
     jcd = coherent_product_jcd(mean_a=0.6, mean_b=1.1, eta=0.8)
     p = 1.0 - math.exp(-0.8 * 1.1 / 8.0)
+    moments = stack_statistics(jcd.probs).moments
     for a in (0, 1, 2):
-        nm = stats.conditional_normal_moments(jcd, a, 4)
-        assert np.allclose(nm.values, p ** np.arange(5), atol=1e-10)
+        assert np.allclose(moments[a, :5], p ** np.arange(5), atol=1e-10)
+
+
+def test_moment_weights_cached_read_only():
+    for bins in (2, 8, 16, 128):
+        w = stats.moment_weights(bins, bins)
+        assert stats.moment_weights(bins, bins) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 2.0
+        exact = [[math.comb(b, m) / math.comb(bins, m) for b in range(bins + 1)]
+                 for m in range(bins + 1)]
+        assert np.array_equal(w, exact)
