@@ -11,7 +11,8 @@ defined}`` object per statistic, ``{violated, significance_sigmas}`` per
 verdict, and full provenance (seed, shots, parameters).
 
 Exit codes: 0 success, 1 usage error, 2 data error (including more than
-model.MAX_BINS bins on an arm), 3 numerical failure.
+model.MAX_BINS bins on an arm, a coherent mean above
+simulator.MAX_COHERENT_MEAN and a negative seed), 3 numerical failure.
 """
 from __future__ import annotations
 

@@ -97,8 +97,10 @@ def stack_statistics(probs) -> StackStatistics:
     cond = conditionals(probs)
     cond_mean, cond_var = mean(cond), variance(cond)
     moments = cond @ moment_weights(n_b, 2 * (n_b // 2)).T
-    eigenvalues = np.where(supported,
-                           jacobi_eigh(moments[..., _hankel(n_b)])[..., 0], np.nan)
+    hankel = _hankel(n_b)
+    # solve only the (distribution, condition) pairs that are supported
+    eigenvalues = np.full(supported.shape, np.nan)
+    eigenvalues[supported] = jacobi_eigh(moments[supported][:, hankel])[:, 0]
     frak_n = np.where(supported.any(axis=-1),
                       np.where(supported, eigenvalues, np.inf).min(axis=-1), np.nan)
 

@@ -20,6 +20,10 @@ from .model import (CountMatrix, DetectorConfig, JointClickDistribution,
                     JointPhotonDistribution, ValidationError)
 
 TAIL_MASS = 1e-12
+# Largest coherent mean photon number: exp(-mean), the vacuum weight the
+# Poisson series starts from, stays a normal double (it turns subnormal near
+# 708 and underflows to 0 near 745, where the series never reaches its tail).
+MAX_COHERENT_MEAN = 700.0
 
 
 @dataclass(frozen=True)
@@ -37,9 +41,9 @@ class StateSpec:
 
     @classmethod
     def coherent(cls, mean_a: float, mean_b: float) -> "StateSpec":
-        if not (0.0 <= mean_a < math.inf and 0.0 <= mean_b < math.inf):
-            raise ValidationError("coherent mean photon numbers must be finite "
-                                  f"and >= 0, got {mean_a}, {mean_b}")
+        if not all(0.0 <= mean <= MAX_COHERENT_MEAN for mean in (mean_a, mean_b)):
+            raise ValidationError("coherent mean photon numbers must be finite and in "
+                                  f"[0, {MAX_COHERENT_MEAN}], got {mean_a}, {mean_b}")
         return cls("coherent", mean_a=mean_a, mean_b=mean_b)
 
     @classmethod
@@ -139,6 +143,8 @@ def sample_counts(jcd: JointClickDistribution, shots: int, seed: int) -> CountMa
     """Multinomial draw of `shots` outcomes from the exact distribution."""
     if shots < 1:
         raise ValidationError("shots must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     flat = rng.multinomial(shots, jcd.probs.ravel() / jcd.probs.sum())
     return CountMatrix(flat.reshape(jcd.probs.shape))

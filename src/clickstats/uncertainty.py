@@ -5,6 +5,13 @@ is a fresh multinomial draw of the full shot count from the empirical
 distribution, and every statistic is recomputed from scratch on it. This
 propagates the correlation between numerators and denominators of conditional
 quantities without any delta-method approximations.
+
+The random stream is part of the contract: replicate i is the one multinomial
+draw of the full shot count made by ``np.random.default_rng(child)``, where
+``child`` is the i-th of ``np.random.SeedSequence(seed).spawn(replicates)``.
+The bootstrap reproduces that stream bit for bit without building the
+per-child objects: it computes every child's PCG64 state at once and loads
+it into one generator before each draw.
 """
 from __future__ import annotations
 
@@ -26,6 +33,16 @@ CHUNK = 64
 
 MAX_DROP_FRACTION = 0.5
 
+# numpy's SeedSequence hash and mix constants (32-bit words, pool of 4) and
+# PCG64's 128-bit LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -36,6 +53,8 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         if self.replicates < 2:
             raise ValidationError("bootstrap needs at least 2 replicates")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         unknown = set(self.statistics) - set(STATISTICS)
         if unknown:
             raise ValidationError(f"unknown statistics: {sorted(unknown)}")
@@ -54,11 +73,72 @@ class BootstrapStat:
     defined: bool = True
 
 
+def _hashmix(value, const: int, mult: int):
+    """One SeedSequence hash of a 32-bit word (a Python int or a uint64 array
+    of them), and the next hash constant."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _child_states(seed: int, count: int):
+    """Yield ``np.random.PCG64(child).state`` for the first ``count``
+    (< 2**32) children of ``SeedSequence(seed).spawn``, without building them.
+
+    A child's entropy is the seed's 32-bit words, zero-padded to the pool
+    size, then its spawn index. Only that last word differs between children,
+    so the pool is mixed once from the seed; the last word's mixing and
+    ``generate_state(4, uint64)`` run on an array of all children, and
+    PCG64's seeding step on Python ints.
+    """
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    words += [0] * (_POOL - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:_POOL]:
+        value, const = _hashmix(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL:] + [np.arange(count, dtype=np.uint64)]:
+        for dst in range(_POOL):
+            value, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+
+    const = _INIT_B
+    halves = []
+    for i in range(8):
+        value, const = _hashmix(pool[i % _POOL], const, _MULT_B)
+        halves.append(value)
+    # little-endian pairs of 32-bit words: seed = (u0, u1), stream = (u2, u3)
+    u = np.stack([halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)], axis=1)
+    # PCG64 seeding: inc = 2 * stream + 1, then two LCG steps from state 0
+    # with the seed added in between
+    for seed_hi, seed_lo, inc_hi, inc_lo in u.tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
 def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapStat]:
     """Multinomial bootstrap of the count matrix; deterministic per seed.
 
-    Each replicate draws from a generator spawned off the config seed, so a
+    Replicate i is the draw of a generator built from the i-th
+    ``SeedSequence(cfg.seed).spawn`` child (see the module docstring), so a
     parallel split of the replicate loop would reproduce the serial result.
+    One PCG64 is loaded with each child's state in turn before its draw.
     Replicates are scored CHUNK at a time by criteria.stack_statistics; a
     statistic is dropped from the replicates on which it is undefined (NaN).
     """
@@ -68,11 +148,16 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
     pflat = counts.counts.ravel() / total
     shape = counts.counts.shape
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
+    # the seed is a placeholder: every draw first loads a child's state
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    states = _child_states(cfg.seed, cfg.replicates)
     samples: dict[str, list] = {name: [] for name in cfg.statistics}
     for start in range(0, cfg.replicates, CHUNK):
-        draws = np.stack([np.random.default_rng(child).multinomial(total, pflat)
-                          for child in seeds[start:start + CHUNK]])
+        draws = np.empty((min(CHUNK, cfg.replicates - start), pflat.size), dtype=np.int64)
+        for row, state in zip(draws, states):
+            bit_generator.state = state
+            row[:] = rng.multinomial(total, pflat)
         scored = criteria.stack_statistics(draws.reshape(-1, *shape) / total).values
         for name in cfg.statistics:
             samples[name].append(scored[name])

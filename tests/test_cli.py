@@ -99,6 +99,28 @@ def test_simulate_non_finite_mean_is_data_error(tmp_path, capsys, value):
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_simulate_huge_coherent_mean_is_data_error(tmp_path, capsys, deadline):
+    code = run(["simulate", "--state", "coherent", "--mean-a", 800, "--mean-b", 0.1,
+                "--shots", 10, "--seed", 1, "--counts-out", tmp_path / "c.csv"])
+    assert code == 2
+    assert "700" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_negative_seed_is_data_error(tmp_path, capsys, command):
+    if command == "simulate":
+        argv = ["simulate", "--state", "coherent", "--mean-a", 0.5, "--shots", 10,
+                "--seed", -3, "--counts-out", tmp_path / "out.csv"]
+    else:
+        argv = ["analyze", "--counts", _counts_file(tmp_path), "--replicates", 10,
+                "--seed", -1, "--report-out", tmp_path / "r.json"]
+    assert run(argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "r.json").exists()
+
+
 def _counts_file(tmp_path):
     path = tmp_path / "c.csv"
     write_counts_csv(path, cs.CountMatrix(np.array([[5, 1, 0], [1, 2, 0], [0, 0, 1]])))

@@ -5,7 +5,7 @@ from scipy import stats as sps
 
 import clickstats as cs
 from clickstats.model import MAX_BINS, ValidationError
-from clickstats.simulator import click_kernel_matrix
+from clickstats.simulator import MAX_COHERENT_MEAN, click_kernel_matrix
 
 from oracles import coherent_click_marginal, enumerate_click_kernel, poisson_pmf
 
@@ -26,6 +26,24 @@ def test_state_spec_validation():
 def test_coherent_requires_finite_means(means):
     with pytest.raises(ValidationError, match="finite"):
         cs.StateSpec.coherent(*means)
+
+
+def test_coherent_mean_bound(deadline):
+    # above about 745 the Poisson series starts from exp(-mean) == 0 and
+    # never reaches its tail; the bound rejects such means before building
+    with pytest.raises(ValidationError, match="700"):
+        cs.StateSpec.coherent(800.0, 0.1)
+    with pytest.raises(ValidationError, match="700"):
+        cs.StateSpec.coherent(0.1, 800.0)
+    jpd = cs.build_photon_distribution(
+        cs.StateSpec.coherent(MAX_COHERENT_MEAN, MAX_COHERENT_MEAN))
+    assert abs(jpd.probs.sum() - 1.0) < 1e-12
+
+
+def test_sample_counts_rejects_negative_seed():
+    jcd = cs.JointClickDistribution(np.full((3, 3), 1.0 / 9.0))
+    with pytest.raises(ValidationError, match="seed"):
+        cs.sample_counts(jcd, 10, -1)
 
 
 def test_split_photon_distribution():

@@ -94,3 +94,29 @@ def test_unsupported_conditions_are_masked():
     assert np.isnan(stacked.eigenvalues[2:]).all()
     assert np.isnan(stacked.moments[2:]).all()
     assert stacked.values["frak_n"] == np.nanmin(stacked.eigenvalues)
+
+
+def test_partly_supported_stack_equals_row_by_row():
+    # conditions 7 and 8 are empty in every member, 5 is supported in one
+    # member and 6 in two: the eigen-solve runs only on the supported
+    # (member, condition) pairs
+    probs = np.random.default_rng(17).dirichlet(np.ones(81), size=(2, 3)).reshape(2, 3, 9, 9)
+    probs[..., 7:, :] = 0.0
+    probs[..., 5, :] = 0.0
+    probs[..., 6, :] = 0.0
+    probs[1, 2, 5] = probs[0, 0, 6] = probs[1, 1, 6] = 0.05
+    probs /= probs.sum(axis=(-2, -1), keepdims=True)
+    stacked = stack_statistics(probs)
+    for index in np.ndindex(2, 3):
+        jcd = cs.JointClickDistribution(probs[index])
+        supported = probs[index].sum(axis=-1) > 0.0
+        for a in range(9):
+            got = stacked.eigenvalues[index][a]
+            if supported[a]:
+                assert abs(got - min_eigenvalue(moment_matrix(jcd, a))[0]) <= 1e-12
+            else:
+                assert np.isnan(got)
+        assert stacked.values["frak_n"][index] == np.nanmin(stacked.eigenvalues[index])
+        row = stack_statistics(probs[index]).values
+        for name in WHY_UNDEFINED:
+            assert same(stacked.values[name][index], row[name])

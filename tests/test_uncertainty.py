@@ -7,7 +7,7 @@ import clickstats as cs
 from clickstats import stats
 from clickstats.model import UndefinedStatisticError, ValidationError
 from clickstats.uncertainty import (CHUNK, STATISTICS, BootstrapConfig,
-                                    bootstrap)
+                                    _child_states, bootstrap)
 
 
 def coherent_counts(shots, seed=21):
@@ -22,6 +22,16 @@ def test_config_validation():
         BootstrapConfig(replicates=1)
     with pytest.raises(ValidationError):
         BootstrapConfig(statistics=("no_such_stat",))
+    with pytest.raises(ValidationError, match="seed"):
+        BootstrapConfig(seed=-1)
+
+
+@pytest.mark.parametrize("replicates", [1, 2, CHUNK + 1])
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**100 + 3])
+def test_child_states_equal_spawned_generators(seed, replicates):
+    children = np.random.SeedSequence(seed).spawn(replicates)
+    assert list(_child_states(seed, replicates)) == [np.random.PCG64(c).state
+                                                     for c in children]
 
 
 def test_determinism():
@@ -93,15 +103,37 @@ def serial_replay(counts, cfg):
     return out
 
 
-@pytest.mark.parametrize("replicates", [2, CHUNK, CHUNK + 1, 300])
-def test_chunked_bootstrap_matches_serial_replay(replicates):
+def tmsv_counts():
     # sparse TMSV counts: the high-click conditions are drawn in only some
     # replicates of a chunk
     cfg = cs.DetectorConfig(8, 0.5, 1e-4)
     jcd = cs.joint_click_distribution(
         cs.build_photon_distribution(cs.StateSpec.tmsv(np.sqrt(0.1))), cfg, cfg)
-    counts = cs.sample_counts(jcd, 10**4, seed=31)
-    boot_cfg = BootstrapConfig(replicates=replicates, seed=32)
+    return cs.sample_counts(jcd, 10**4, seed=31)
+
+
+def holed_counts(last_cell=7, empty_last_row=False):
+    """Small counts with zero cells between non-zero ones; ``last_cell`` is
+    the count of the last cell (a, b) = (8, 8)."""
+    rng = np.random.default_rng(33)
+    counts = rng.integers(1, 40, size=(9, 9)) * (rng.random((9, 9)) < 0.5)
+    counts[-1, -1] = last_cell
+    if empty_last_row:
+        counts[-1] = 0
+    return cs.CountMatrix(counts)
+
+
+@pytest.mark.parametrize("make_counts, replicates, seed", [
+    *(pytest.param(tmsv_counts, n, 32, id=str(n)) for n in (2, CHUNK, CHUNK + 1, 300)),
+    pytest.param(holed_counts, CHUNK + 1, 32, id="interior-zeros"),
+    pytest.param(lambda: holed_counts(last_cell=0), CHUNK + 1, 32, id="zero-last-cell"),
+    pytest.param(lambda: holed_counts(last_cell=0, empty_last_row=True), CHUNK + 1, 32,
+                 id="zero-last-row"),
+    pytest.param(tmsv_counts, CHUNK + 1, 2**100 + 3, id="multi-word-seed"),
+])
+def test_chunked_bootstrap_matches_serial_replay(make_counts, replicates, seed):
+    counts = make_counts()
+    boot_cfg = BootstrapConfig(replicates=replicates, seed=seed)
     batched = bootstrap(counts, boot_cfg)
     serial = serial_replay(counts, boot_cfg)
     for name, (stderr, drop) in serial.items():
