@@ -24,8 +24,7 @@ import numpy as np
 
 from .model import (CriteriaReport, Estimate, JointClickDistribution,
                     UndefinedStatisticError, ValidationError, Verdict)
-from .stats import (conditionals, covariance, marginals, mean, moment_weights,
-                    summed_click_mean, variance)
+from .stats import mean, moment_weights, variance
 
 # The statistics of a stack, each with the reason it can be undefined.
 WHY_UNDEFINED = {
@@ -78,47 +77,66 @@ def _hankel(bins_b: int) -> np.ndarray:
     return orders[:, None] + orders[None, :]
 
 
-def _binomial_q(marginal: np.ndarray, bins: int) -> np.ndarray:
-    e = mean(marginal)
+def _binomial_q(e: np.ndarray, var: np.ndarray, bins: int) -> np.ndarray:
+    """Binomial Q of marginals with means ``e`` and variances ``var``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((e > 0.0) & (e < bins),
-                        bins * variance(marginal) / (e * (bins - e)) - 1.0, np.nan)
+        return np.where((e > 0.0) & (e < bins), bins * var / (e * (bins - e)) - 1.0, np.nan)
 
 
 def stack_statistics(probs) -> StackStatistics:
-    """All statistics of click distributions of shape (..., N_A+1, N_B+1)."""
+    """All statistics of click distributions of shape (..., N_A+1, N_B+1).
+
+    Conditional moments come from one table, ``c(a, b) @ W.T`` with
+    W[m, b] = C(b, m) / C(N_B, m), which holds c(a) <:pi_B^m:>_|a; divided by
+    c(a) it gives the moments, NaN (0/0) on unsupported conditions.
+    ``c(a, b) @ b`` gives c(a) E(b|a): the conditional means, the kappa bound
+    and, through ``@ a``, E(ab).
+
+    Variances are summed centred, the marginal ones about the marginal means
+    and sum_a c(a) Var(b|a) about each condition's mean: the raw form
+    E(b^2) - E(b)^2 loses about 1e-7 of kappa and Q_B on a saturated
+    detector. For the same reason c(a) is summed like the other marginal,
+    not read from the table's m = 0 column: near saturation Q_A turns on its
+    last bit, and a matrix product sums in another order.
+    """
     probs = np.asarray(probs, dtype=float)
     n_a, n_b = probs.shape[-2] - 1, probs.shape[-1] - 1
-    ca, cb = marginals(probs)
-    var_a, var_b = variance(ca), variance(cb)
-    q_a, q_b = _binomial_q(ca, n_a), _binomial_q(cb, n_b)
-
+    clicks_a, clicks_b = np.arange(n_a + 1.0), np.arange(n_b + 1.0)
+    table = probs @ moment_weights(n_b, 2 * (n_b // 2)).T
+    ca, cb = probs.sum(axis=-1), probs.sum(axis=-2)
     supported = ca > 0.0
-    cond = conditionals(probs)
-    cond_mean, cond_var = mean(cond), variance(cond)
-    moments = cond @ moment_weights(n_b, 2 * (n_b // 2)).T
-    hankel = _hankel(n_b)
-    # solve only the (distribution, condition) pairs that are supported
-    eigenvalues = np.full(supported.shape, np.nan)
-    eigenvalues[supported] = jacobi_eigh(moments[supported][:, hankel])[:, 0]
-    frak_n = np.where(supported.any(axis=-1),
-                      np.where(supported, eigenvalues, np.inf).min(axis=-1), np.nan)
+    mean_a, mean_b = mean(ca), mean(cb)
+    var_a, var_b = variance(ca), variance(cb)
+    q_a, q_b = _binomial_q(mean_a, var_a, n_a), _binomial_q(mean_b, var_b, n_b)
+
+    # c(a) E(b|a); the conditional mean is 0 on unsupported rows, which carry
+    # no weight in the sums below
+    weighted_mean = probs @ clicks_b
+    cond_mean = weighted_mean / np.where(supported, ca, 1.0)
+    # sum_a c(a) Var(b|a)
+    cond_var = ((clicks_b - cond_mean[..., None]) ** 2 * probs).sum(axis=(-2, -1))
 
     with np.errstate(divide="ignore", invalid="ignore"):
+        moments = table / ca[..., None]
         varies_b = var_b > 0.0
-        kappa = np.where(varies_b, 1.0 - (ca * cond_var).sum(axis=-1) / var_b, np.nan)
+        kappa = np.where(varies_b, 1.0 - cond_var / var_b, np.nan)
         kappa_cl_max = np.where(
             varies_b,
-            1.0 - (ca * cond_mean * (n_b - cond_mean)).sum(axis=-1) / (n_b * var_b),
+            1.0 - (weighted_mean * (n_b - cond_mean)).sum(axis=-1) / (n_b * var_b),
             np.nan)
+        covariance = weighted_mean @ clicks_a - mean_a * mean_b
         gamma = np.where((var_a > 0.0) & varies_b,
-                         covariance(probs) / np.sqrt(var_a * var_b), np.nan)
+                         covariance / np.sqrt(var_a * var_b), np.nan)
         denom = (n_a - 1) * (n_b - 1) * (q_a + 1.0) * (q_b + 1.0)
         gamma_cl_max = np.where(denom != 0.0,
                                 np.sqrt(np.abs(n_a * n_b * q_a * q_b / denom)), np.nan)
 
+    # solve only the (distribution, condition) pairs that are supported
+    eigenvalues = np.full(supported.shape, np.nan)
+    eigenvalues[supported] = jacobi_eigh(moments[supported][:, _hankel(n_b)])[:, 0]
+
     values = {
-        "summed_click_mean": summed_click_mean(probs),
+        "summed_click_mean": mean_a + mean_b,
         "q_a": q_a,
         "q_b": q_b,
         "kappa": kappa,
@@ -127,11 +145,10 @@ def stack_statistics(probs) -> StackStatistics:
         "gamma": gamma,
         "gamma_cl_max": gamma_cl_max,
         "gamma_margin": np.abs(gamma) - gamma_cl_max,
-        "frak_n": frak_n,
+        # fmin passes over the NaN of unsupported conditions
+        "frak_n": np.fmin.reduce(eigenvalues, axis=-1),
     }
-    return StackStatistics(values=values,
-                           moments=np.where(supported[..., None], moments, np.nan),
-                           eigenvalues=eigenvalues)
+    return StackStatistics(values=values, moments=moments, eigenvalues=eigenvalues)
 
 
 def statistic(jcd: JointClickDistribution, name: str) -> float:
@@ -145,7 +162,8 @@ def statistic(jcd: JointClickDistribution, name: str) -> float:
 
 def binomial_q(marginal: np.ndarray, bins: int) -> float:
     """Binomial Q parameter; negative means sub-binomial (nonclassical) light."""
-    q = float(_binomial_q(np.asarray(marginal, dtype=float), bins))
+    marginal = np.asarray(marginal, dtype=float)
+    q = float(_binomial_q(mean(marginal), variance(marginal), bins))
     if math.isnan(q):
         raise UndefinedStatisticError(
             f"degenerate marginal: mean click number outside (0, {bins})")

@@ -4,8 +4,10 @@ These deliberately avoid the package's occupancy-chain kernel: click
 distributions are obtained by exhaustively enumerating every placement of the
 photons into the detector bins and convolving exact per-bin click
 probabilities, or, for coherent light, from the binomial closed form. The
-criteria are written out again from their closed forms, so no code from the
-package is involved.
+criteria are written out again from their closed forms, and the descriptive
+statistics of a joint distribution (marginals, conditionals, covariance,
+summed click mean) from their definitions, so no code from the package is
+involved.
 """
 import itertools
 import math
@@ -63,6 +65,40 @@ def poisson_pmf(mean: float, n_max: int) -> np.ndarray:
     n = np.arange(n_max + 1)
     log_fact = np.array([math.lgamma(k + 1) for k in n])
     return np.exp(n * math.log(mean) - mean - log_fact)
+
+
+def _joint_probs(joint) -> np.ndarray:
+    """The probability array of a JointClickDistribution or of an array."""
+    return np.asarray(getattr(joint, "probs", joint), dtype=float)
+
+
+def marginals(joint) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal click distributions (over a, over b) of one joint
+    distribution or a stack of them."""
+    probs = _joint_probs(joint)
+    return probs.sum(axis=-1), probs.sum(axis=-2)
+
+
+def conditionals(joint) -> np.ndarray:
+    """Conditional distributions c(b | a) for every a; the row of an
+    unsupported condition (c(a) = 0) is zero."""
+    probs = _joint_probs(joint)
+    ca = probs.sum(axis=-1, keepdims=True)
+    return np.divide(probs, ca, out=np.zeros_like(probs), where=ca > 0.0)
+
+
+def covariance(joint) -> np.ndarray:
+    """Cov(a, b) = E(ab) - E(a) E(b) over the joint click outcomes."""
+    probs = _joint_probs(joint)
+    ca, cb = marginals(probs)
+    a, b = np.arange(ca.shape[-1]), np.arange(cb.shape[-1])
+    return (probs @ b) @ a - (ca @ a) * (cb @ b)
+
+
+def summed_click_mean(joint) -> np.ndarray:
+    """E(a + b), the summed click number."""
+    ca, cb = marginals(joint)
+    return ca @ np.arange(ca.shape[-1]) + cb @ np.arange(cb.shape[-1])
 
 
 def random_click_distribution(rng, bins_a=8, bins_b=8):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import clickstats as cs
-from clickstats import criteria, stats
+from clickstats import criteria
 from clickstats.criteria import min_eigenvalue, moment_matrix
 from clickstats.model import UndefinedStatisticError
 
-from oracles import poisson_pmf, random_click_distribution
+from oracles import marginals, poisson_pmf, random_click_distribution
 
 SP_FRAK_N = (1.0 - math.sqrt(17.0 / 16.0)) / 2.0
 
@@ -43,7 +43,7 @@ def classical_mixture_jcd(rng, components=3):
 
 
 def test_binomial_q_binomial_marginal():
-    ca, cb = stats.marginals(coherent_product_jcd())
+    ca, cb = marginals(coherent_product_jcd())
     assert cs.binomial_q(ca, 8) == pytest.approx(0.0, abs=1e-10)
     assert cs.binomial_q(cb, 8) == pytest.approx(0.0, abs=1e-10)
 
@@ -55,7 +55,7 @@ def test_binomial_q_single_photon():
 
 
 def test_binomial_q_thermal_super_binomial():
-    ca, _ = stats.marginals(tmsv_jcd())
+    ca, _ = marginals(tmsv_jcd())
     assert cs.binomial_q(ca, 8) > 0.0
 
 

@@ -1,17 +1,24 @@
-"""The batched statistics engine against the closed-form oracle and against
-its own scalar views."""
+"""The batched statistics engine against the closed-form oracle, the
+benchmark's reference statistics and its own scalar views."""
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import clickstats as cs
-from clickstats import stats
 from clickstats.criteria import (WHY_UNDEFINED, min_eigenvalue, moment_matrix,
                                  stack_statistics)
 from clickstats.uncertainty import STATISTICS
 
-from oracles import criterion_margins
+from oracles import criterion_margins, marginals, summed_click_mean
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipebench"))
+
+import reference  # noqa: E402  (read-only: the benchmark's own statistics)
 
 
 @st.composite
@@ -53,7 +60,7 @@ def test_scalar_wrappers_equal_stack_rows(probs):
     for i, dist in enumerate(probs):
         jcd = cs.JointClickDistribution(dist)
         row = {name: stacked.values[name][i] for name in WHY_UNDEFINED}
-        ca, cb = stats.marginals(jcd)
+        ca, cb = marginals(jcd)
         assert same(cs.binomial_q(ca, jcd.bins_a), row["q_a"])
         assert same(cs.binomial_q(cb, jcd.bins_b), row["q_b"])
         assert same(cs.kappa(jcd), row["kappa"])
@@ -61,7 +68,7 @@ def test_scalar_wrappers_equal_stack_rows(probs):
         assert same(cs.pearson(jcd), row["gamma"])
         assert same(cs.pearson_cl_max(jcd), row["gamma_cl_max"])
         assert same(cs.conditional_nonclassicality_number(jcd), row["frak_n"])
-        assert same(stats.summed_click_mean(jcd), row["summed_click_mean"])
+        assert same(summed_click_mean(jcd), row["summed_click_mean"])
         for name, fn in STATISTICS.items():
             assert same(fn(jcd), row[name])
         for a in range(jcd.bins_a + 1):
@@ -120,3 +127,36 @@ def test_partly_supported_stack_equals_row_by_row():
         row = stack_statistics(probs[index]).values
         for name in WHY_UNDEFINED:
             assert same(stacked.values[name][index], row[name])
+
+
+@pytest.mark.parametrize("bins", [8, 16])
+def test_saturated_detector_matches_reference(bins):
+    # mean photon numbers far past the bin count: nearly every shot fires
+    # every bin, so each variance is a small difference of large sums, and a
+    # raw-moment variance E(b^2) - E(b)^2 loses about 1e-7 here; gamma is left
+    # out, its covariance is ill-conditioned at saturation in both codes
+    cfg = cs.DetectorConfig(bins, 1.0, 1e-4)
+    jcd = cs.joint_click_distribution(
+        cs.build_photon_distribution(cs.StateSpec.coherent(150.0, 135.0)), cfg, cfg)
+    got = stack_statistics(jcd.probs).values
+    want = reference.statistics(jcd.probs)
+    for name in ("q_a", "q_b", "kappa", "kappa_cl_max"):
+        assert abs(got[name] - want[name]) <= 1e-8 * max(1.0, abs(want[name])), name
+
+
+def test_unsupported_conditions_raise_no_warning():
+    # conditions 7 and 8 are empty in every member and 5 in two of three;
+    # member 2 never clicks in arm A, a degenerate marginal
+    probs = np.random.default_rng(5).dirichlet(np.ones(81), size=3).reshape(3, 9, 9)
+    probs[:, 7:] = 0.0
+    probs[1:, 5] = 0.0
+    probs[2, 1:] = 0.0
+    probs /= probs.sum(axis=(-2, -1), keepdims=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = stack_statistics(probs)
+    assert np.isnan(stacked.moments[:, 7:]).all()
+    assert np.isnan(stacked.moments[1:, 5]).all()
+    assert not np.isnan(stacked.moments[0, :7]).any()
+    assert np.isnan(stacked.values["q_a"][2]) and np.isnan(stacked.values["gamma"][2])
+    assert stacked.values["frak_n"][2] == stacked.eigenvalues[2, 0]

@@ -1,13 +1,18 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import clickstats as cs
-from clickstats import stats
 from clickstats.model import UndefinedStatisticError, ValidationError
 from clickstats.uncertainty import (CHUNK, STATISTICS, BootstrapConfig,
                                     _child_states, bootstrap)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipebench"))
+
+import reference  # noqa: E402  (read-only: the benchmark's own bootstrap)
 
 
 def coherent_counts(shots, seed=21):
@@ -142,3 +147,28 @@ def test_chunked_bootstrap_matches_serial_replay(make_counts, replicates, seed):
             assert batched[name].stderr is None
         else:
             assert math.isclose(batched[name].stderr, stderr, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("state, eta, shots", [
+    pytest.param(cs.StateSpec.tmsv(np.sqrt(0.1)), 0.5, 10**4, id="tmsv"),
+    pytest.param(cs.StateSpec.coherent(0.5, 0.5), 0.8, 10**4, id="coherent"),
+    # 20 shots: some replicates never click in one arm, so drop fractions
+    # are not zero
+    pytest.param(cs.StateSpec.split_photon(np.sqrt(0.5)), 0.45, 20, id="split-photon"),
+])
+@pytest.mark.parametrize("bins", [8, 16])
+def test_bootstrap_matches_reference(state, eta, shots, bins):
+    # the reference draws one generator per spawned child and scores all
+    # replicates with its own statistics, sharing no code with the package
+    cfg = cs.DetectorConfig(bins, eta, 1e-4)
+    jcd = cs.joint_click_distribution(cs.build_photon_distribution(state), cfg, cfg)
+    counts = cs.sample_counts(jcd, shots, seed=bins)
+    got = bootstrap(counts, BootstrapConfig(replicates=200, seed=41))
+    want = reference.bootstrap_stderr(counts.counts, 200, 41)
+    assert got.keys() == want.keys()
+    for name, (stderr, drop) in want.items():
+        assert got[name].drop_fraction == drop, name
+        if stderr is None:
+            assert got[name].stderr is None, name
+        else:
+            assert math.isclose(got[name].stderr, stderr, rel_tol=1e-10), name
