@@ -12,7 +12,8 @@ verdict, and full provenance (seed, shots, parameters).
 
 Exit codes: 0 success, 1 usage error, 2 data error (including more than
 model.MAX_BINS bins on an arm, a coherent mean above
-simulator.MAX_COHERENT_MEAN and a negative seed), 3 numerical failure.
+simulator.MAX_COHERENT_MEAN, --lambda2 or --t2 outside (0, 1), a threshold
+that is not finite and positive, and a negative seed), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -91,17 +92,24 @@ def _seed(args) -> int:
     return secrets.randbits(32)
 
 
+def _squared_amplitude(args, flag: str) -> float:
+    """The amplitude whose square ``--<flag>`` gives, checked before the root
+    is taken."""
+    value = getattr(args, flag)
+    if value is None:
+        raise ValidationError(f"{args.state} requires --{flag}")
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"--{flag} must be in (0, 1), got {value}")
+    return float(np.sqrt(value))
+
+
 def _state_spec(args) -> StateSpec:
     if args.state == "coherent":
         return StateSpec.coherent(args.mean_a, args.mean_b)
     if args.state == "tmsv":
-        if args.lambda2 is None:
-            raise ValidationError("tmsv requires --lambda2")
-        return StateSpec.tmsv(float(np.sqrt(args.lambda2)))
+        return StateSpec.tmsv(_squared_amplitude(args, "lambda2"))
     if args.state == "split-photon":
-        if args.t2 is None:
-            raise ValidationError("split-photon requires --t2")
-        return StateSpec.split_photon(float(np.sqrt(args.t2)))
+        return StateSpec.split_photon(_squared_amplitude(args, "t2"))
     raise ValidationError(f"unknown state {args.state!r}")
 
 

@@ -78,13 +78,24 @@ def _hankel(bins_b: int) -> np.ndarray:
 
 
 def _binomial_q(e: np.ndarray, var: np.ndarray, bins: int) -> np.ndarray:
-    """Binomial Q of marginals with means ``e`` and variances ``var``."""
+    """Binomial Q of marginals with means ``e`` and variances ``var``; NaN
+    where the mean is 0 or N. A marginal on one outcome (variance 0) has a
+    mean off that outcome by the rounding of its mass, so on outcome N it
+    may read just below N."""
+    inside = (e > 0.0) & (e < bins - 0.5 * (var == 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((e > 0.0) & (e < bins), bins * var / (e * (bins - e)) - 1.0, np.nan)
+        return np.where(inside, bins * var / (e * (bins - e)) - 1.0, np.nan)
 
 
-def stack_statistics(probs) -> StackStatistics:
+def stack_statistics(probs, clicks=None) -> StackStatistics:
     """All statistics of click distributions of shape (..., N_A+1, N_B+1).
+
+    ``clicks = (rows, cols)``, two integer arrays, gives the click numbers of
+    the rows and columns of ``probs`` when it holds only some of them, in
+    ascending order and ending with N_A and N_B; the rows and columns left
+    out must carry no probability. The default is every row and column,
+    0..N_A and 0..N_B. Moments and eigenvalues then run along the given rows
+    only.
 
     Conditional moments come from one table, ``c(a, b) @ W.T`` with
     W[m, b] = C(b, m) / C(N_B, m), which holds c(a) <:pi_B^m:>_|a; divided by
@@ -97,16 +108,23 @@ def stack_statistics(probs) -> StackStatistics:
     E(b^2) - E(b)^2 loses about 1e-7 of kappa and Q_B on a saturated
     detector. For the same reason c(a) is summed like the other marginal,
     not read from the table's m = 0 column: near saturation Q_A turns on its
-    last bit, and a matrix product sums in another order.
+    last bit, and a matrix product sums in another order. A marginal on one
+    outcome has variance exactly 0 (see stats.variance) and Q -1, or NaN on
+    outcome 0 or N.
     """
     probs = np.asarray(probs, dtype=float)
-    n_a, n_b = probs.shape[-2] - 1, probs.shape[-1] - 1
-    clicks_a, clicks_b = np.arange(n_a + 1.0), np.arange(n_b + 1.0)
-    table = probs @ moment_weights(n_b, 2 * (n_b // 2)).T
+    if clicks is None:
+        clicks = np.arange(probs.shape[-2] + 0.0), np.arange(probs.shape[-1] + 0.0)
+    clicks_a, clicks_b = clicks
+    n_a, n_b = int(clicks_a[-1]), int(clicks_b[-1])
+    weights = moment_weights(n_b, 2 * (n_b // 2))
+    if clicks_b.size < n_b + 1:     # W's columns of the given click numbers
+        weights = weights[:, clicks_b]
+    table = probs @ weights.T
     ca, cb = probs.sum(axis=-1), probs.sum(axis=-2)
     supported = ca > 0.0
-    mean_a, mean_b = mean(ca), mean(cb)
-    var_a, var_b = variance(ca), variance(cb)
+    mean_a, mean_b = mean(ca, clicks_a), mean(cb, clicks_b)
+    var_a, var_b = variance(ca, clicks_a), variance(cb, clicks_b)
     q_a, q_b = _binomial_q(mean_a, var_a, n_a), _binomial_q(mean_b, var_b, n_b)
 
     # c(a) E(b|a); the conditional mean is 0 on unsupported rows, which carry
@@ -254,8 +272,11 @@ def evaluate_all(jcd: JointClickDistribution,
 
     ``errors`` maps statistic names to bootstrap results (see
     clickstats.uncertainty); without it verdicts reduce to sign checks on the
-    exact distribution.
+    exact distribution. ``threshold``, in standard errors, must be finite and
+    positive.
     """
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
     point = stack_statistics(jcd.probs)
     values = {name: float(v) for name, v in point.values.items()}
     errors = errors or {}

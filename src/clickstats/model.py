@@ -11,8 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORMALIZATION_TOL = 1e-9
-# Largest bin count per arm. The statistics gather a (64, N+1, N/2+1, N/2+1)
-# moment-matrix stack per bootstrap chunk: 279 MB at 128 bins, 2.2 GB at 256.
+# Largest bin count per arm. A bootstrap chunk gathers a (k, R, N/2+1, N/2+1)
+# moment-matrix stack on the R populated rows, with k = 64 (N+1) // R, so
+# k R <= 64 (N+1) bounds it at the full grid's: 279 MB at 128 bins, 2.2 GB
+# at 256.
 MAX_BINS = 128
 
 

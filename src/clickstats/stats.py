@@ -23,15 +23,22 @@ import numpy as np
 from .model import ValidationError
 
 
-def mean(dist) -> np.ndarray:
+def mean(dist, clicks=None) -> np.ndarray:
+    """Mean click number; ``clicks`` holds the click number of each outcome,
+    0..N by default."""
     dist = np.asarray(dist, dtype=float)
-    return dist @ np.arange(dist.shape[-1])
+    k = np.arange(dist.shape[-1]) if clicks is None else clicks
+    return dist @ k
 
 
-def variance(dist) -> np.ndarray:
+def variance(dist, clicks=None) -> np.ndarray:
+    """Variance about the mean; exactly 0 on a distribution with one outcome,
+    where the sum would read the rounding of a total mass that is not exactly
+    1 (k - mean = k (1 - mass))."""
     dist = np.asarray(dist, dtype=float)
-    k = np.arange(dist.shape[-1])
-    return ((k - mean(dist)[..., None]) ** 2 * dist).sum(axis=-1)
+    k = np.arange(dist.shape[-1]) if clicks is None else clicks
+    var = ((k - mean(dist, k)[..., None]) ** 2 * dist).sum(axis=-1)
+    return var * ((dist > 0.0).sum(axis=-1) > 1)
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,16 @@ draw of the full shot count made by ``np.random.default_rng(child)``, where
 The bootstrap reproduces that stream bit for bit without building the
 per-child objects: it computes every child's PCG64 state at once and loads
 it into one generator before each draw.
+
+Each replicate is drawn and scored on the count matrix's support grid only:
+the rows and columns with at least one count, and always row N_A and column
+N_B. A zero cell can never be drawn, so nothing is lost; and the draw is the
+full-matrix draw, bit for bit. numpy's multinomial draws cell j as
+``binomial(remaining, p_j / remaining_p)`` in order and gives the last cell
+the remainder; for p_j = 0 that binomial returns 0 without taking a random
+number and leaves ``remaining_p`` as it was, so dropping the zero cells
+leaves every other cell's draw unchanged, and the last cell, (N_A, N_B) on
+both grids, still takes the remainder.
 """
 from __future__ import annotations
 
@@ -27,7 +37,8 @@ from .model import CountMatrix, ValidationError
 STATISTICS: dict = {name: partial(criteria.statistic, name=name)
                     for name in criteria.WHY_UNDEFINED}
 
-# Replicates are drawn and scored this many at a time, which bounds the memory
+# Replicates are drawn and scored CHUNK * (N_A + 1) // (support rows) at a
+# time: the conditions of CHUNK full-grid replicates, which bounds the memory
 # a bootstrap holds at large bin counts.
 CHUNK = 64
 
@@ -139,26 +150,35 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
     ``SeedSequence(cfg.seed).spawn`` child (see the module docstring), so a
     parallel split of the replicate loop would reproduce the serial result.
     One PCG64 is loaded with each child's state in turn before its draw.
-    Replicates are scored CHUNK at a time by criteria.stack_statistics; a
-    statistic is dropped from the replicates on which it is undefined (NaN).
+    Draws and scores run on the support grid (see the module docstring), so
+    their cost follows the populated rows and columns, not N_A and N_B.
+    Replicates are scored by criteria.stack_statistics in chunks that hold
+    as many conditions as CHUNK full-grid replicates; a statistic is dropped
+    from the replicates on which it is undefined (NaN).
     """
     total = counts.total
     if total < 1:
         raise ValidationError("empty dataset: total count is zero")
-    pflat = counts.counts.ravel() / total
-    shape = counts.counts.shape
+    # the support grid: rows and columns with a count, and always the last
+    keep_a, keep_b = counts.counts.any(axis=1), counts.counts.any(axis=0)
+    keep_a[-1] = keep_b[-1] = True
+    clicks = np.flatnonzero(keep_a), np.flatnonzero(keep_b)
+    support = counts.counts[keep_a][:, keep_b]
+    pflat = support.ravel() / total
+    chunk = CHUNK * keep_a.size // clicks[0].size
 
     # the seed is a placeholder: every draw first loads a child's state
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     states = _child_states(cfg.seed, cfg.replicates)
     samples: dict[str, list] = {name: [] for name in cfg.statistics}
-    for start in range(0, cfg.replicates, CHUNK):
-        draws = np.empty((min(CHUNK, cfg.replicates - start), pflat.size), dtype=np.int64)
+    for start in range(0, cfg.replicates, chunk):
+        draws = np.empty((min(chunk, cfg.replicates - start), pflat.size), dtype=np.int64)
         for row, state in zip(draws, states):
             bit_generator.state = state
             row[:] = rng.multinomial(total, pflat)
-        scored = criteria.stack_statistics(draws.reshape(-1, *shape) / total).values
+        scored = criteria.stack_statistics(draws.reshape(-1, *support.shape) / total,
+                                           clicks).values
         for name in cfg.statistics:
             samples[name].append(scored[name])
 

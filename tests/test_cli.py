@@ -121,6 +121,34 @@ def test_negative_seed_is_data_error(tmp_path, capsys, command):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-3", "0"])
+def test_threshold_not_finite_and_positive_is_data_error(tmp_path, capsys, value):
+    # NaN and inf were written as non-strict JSON, NaN left a 7-sigma kappa
+    # violation unflagged and -3 flagged every verdict
+    report = tmp_path / "r.json"
+    code = run(["analyze", "--counts", simulate_sp(tmp_path, shots=2000),
+                "--replicates", 10, "--seed", 1, "--threshold", value,
+                "--report-out", report])
+    assert code == 2
+    assert "threshold must be finite and > 0" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("state, flag, value", [
+    ("tmsv", "--lambda2", "-0.5"), ("tmsv", "--lambda2", "1"),
+    ("tmsv", "--lambda2", "nan"), ("split-photon", "--t2", "-0.5"),
+    ("split-photon", "--t2", "1.5"),
+])
+def test_squared_amplitude_outside_unit_interval_is_data_error(tmp_path, capsys, state,
+                                                              flag, value):
+    # checked before the square root, which warned and then reported the NaN
+    code = run(["simulate", "--state", state, flag, value, "--shots", 10, "--seed", 1,
+                "--counts-out", tmp_path / "c.csv"])
+    assert code == 2
+    assert f"{flag} must be in (0, 1), got {float(value)}" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def _counts_file(tmp_path):
     path = tmp_path / "c.csv"
     write_counts_csv(path, cs.CountMatrix(np.array([[5, 1, 0], [1, 2, 0], [0, 0, 1]])))

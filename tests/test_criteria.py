@@ -6,7 +6,7 @@ import pytest
 import clickstats as cs
 from clickstats import criteria
 from clickstats.criteria import min_eigenvalue, moment_matrix
-from clickstats.model import UndefinedStatisticError
+from clickstats.model import UndefinedStatisticError, ValidationError
 
 from oracles import marginals, poisson_pmf, random_click_distribution
 
@@ -283,6 +283,12 @@ def test_exact_coherent_light_within_classical_bounds(bins, eta, nu):
     assert values["kappa_margin"] <= 1e-12
     assert values["gamma_margin"] <= 1e-12
     assert -values["frak_n"] <= 1e-12
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -3.0, 0.0])
+def test_evaluate_all_rejects_threshold_not_finite_and_positive(threshold):
+    with pytest.raises(ValidationError, match="threshold must be finite and > 0"):
+        cs.evaluate_all(ideal_split_photon_jcd(), threshold=threshold)
 
 
 def test_evaluate_all_undefined_components():

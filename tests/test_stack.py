@@ -160,3 +160,66 @@ def test_unsupported_conditions_raise_no_warning():
     assert not np.isnan(stacked.moments[0, :7]).any()
     assert np.isnan(stacked.values["q_a"][2]) and np.isnan(stacked.values["gamma"][2])
     assert stacked.values["frak_n"][2] == stacked.eigenvalues[2, 0]
+
+
+@st.composite
+def support_grids(draw):
+    """A stack on a support grid: some rows and columns of a 2-16 bin
+    distribution, always the last of each, with some kept rows empty in some
+    members. Returns the stack, its click numbers and the zero-padded full
+    stack."""
+    bins_a = draw(st.integers(2, 16))
+    bins_b = draw(st.integers(2, 16))
+    keep_a = np.array(draw(st.lists(st.booleans(), min_size=bins_a + 1,
+                                    max_size=bins_a + 1)))
+    keep_b = np.array(draw(st.lists(st.booleans(), min_size=bins_b + 1,
+                                    max_size=bins_b + 1)))
+    keep_a[-1] = keep_b[-1] = True
+    rows, cols = np.flatnonzero(keep_a), np.flatnonzero(keep_b)
+    depth = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sub = rng.dirichlet(np.full(rows.size * cols.size, draw(st.floats(0.2, 5.0))),
+                        size=depth).reshape(depth, rows.size, cols.size)
+    sub *= rng.random((depth, rows.size, 1)) < 0.8
+    sub[:, 0, 0] += 0.1
+    sub /= sub.sum(axis=(-2, -1), keepdims=True)
+    full = np.zeros((depth, bins_a + 1, bins_b + 1))
+    full[:, rows[:, None], cols] = sub
+    return sub, (rows, cols), full
+
+
+def close_or_both_nan(got, want):
+    return np.array_equal(np.isnan(got), np.isnan(want)) and np.all(
+        np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)), where=~np.isnan(want))
+
+
+@given(support_grids())
+def test_support_grid_equals_padded_grid(grid):
+    # the bootstrap scores replicates on the rows and columns that hold
+    # counts; the rows and columns it leaves out carry no probability
+    sub, (rows, cols), full = grid
+    got = stack_statistics(sub, (rows, cols))
+    want = stack_statistics(full)
+    for name in WHY_UNDEFINED:
+        assert close_or_both_nan(got.values[name], want.values[name]), name
+    assert close_or_both_nan(got.moments, want.moments[:, rows])
+    assert close_or_both_nan(got.eigenvalues, want.eigenvalues[:, rows])
+    assert np.isnan(np.delete(want.eigenvalues, rows, axis=1)).all()
+
+
+def test_one_outcome_marginal_is_degenerate():
+    # arm A always gives 0, 2 or 4 of 4 clicks, on a row whose mass sums to
+    # 1 - 2^-53: a summed variance reads that rounding, (k - mean)^2 =
+    # (k (1 - mass))^2, and made gamma 1.1 and the kappa bound -2e31
+    row = np.array([16, 3, 4, 1]) / 24
+    assert row.sum() != 1.0
+    probs = np.zeros((3, 5, 4))
+    probs[[0, 1, 2], [0, 2, 4]] = row
+    values = stack_statistics(probs).values
+    assert np.isnan(values["q_a"][[0, 2]]).all() and values["q_a"][1] == -1.0
+    for name in ("gamma", "gamma_cl_max", "gamma_margin"):
+        assert np.isnan(values[name]).all(), name
+    values = stack_statistics(probs.swapaxes(-2, -1)).values
+    assert np.isnan(values["q_b"][[0, 2]]).all() and values["q_b"][1] == -1.0
+    for name in ("kappa", "kappa_cl_max", "gamma", "gamma_cl_max"):
+        assert np.isnan(values[name]).all(), name

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import clickstats as cs
+from clickstats import criteria
+from clickstats.criteria import stack_statistics
 from clickstats.model import UndefinedStatisticError, ValidationError
 from clickstats.uncertainty import (CHUNK, STATISTICS, BootstrapConfig,
                                     _child_states, bootstrap)
@@ -128,6 +130,36 @@ def holed_counts(last_cell=7, empty_last_row=False):
     return cs.CountMatrix(counts)
 
 
+def grid_counts(rows, cols, last_cell=0, seed=35):
+    """Counts on the given rows and columns of a 9x9 matrix, every cell of
+    that grid non-zero, and ``last_cell`` counts at (a, b) = (8, 8)."""
+    counts = np.zeros((9, 9), dtype=np.int64)
+    counts[np.ix_(rows, cols)] = np.random.default_rng(seed).integers(
+        1, 40, size=(len(rows), len(cols)))
+    counts[-1, -1] += last_cell
+    return cs.CountMatrix(counts)
+
+
+# Counts with empty rows and columns between populated ones, and the shape of
+# their support grid: the rows and columns with a count, and always the last.
+SUPPORT_GRIDS = {
+    "one-row": (lambda: grid_counts([3], [1, 2, 4, 5]), (2, 5)),
+    "every-row": (lambda: grid_counts(range(9), [0, 2, 3]), (9, 4)),
+    "last-row": (lambda: grid_counts([0, 8], [1, 8]), (2, 2)),
+    "last-cell": (lambda: grid_counts([1, 2], [0, 3], last_cell=5), (3, 3)),
+}
+
+
+def support_chunk(rows):
+    """Replicates per chunk on a support grid of ``rows`` rows at 8 bins:
+    CHUNK * (N_A + 1) // rows, so CHUNK when every row is populated."""
+    return CHUNK * 9 // rows
+
+
+# Below this, a standard error of an O(1) statistic is rounding, not spread.
+ROUNDING_SPREAD = 1e-14
+
+
 @pytest.mark.parametrize("make_counts, replicates, seed", [
     *(pytest.param(tmsv_counts, n, 32, id=str(n)) for n in (2, CHUNK, CHUNK + 1, 300)),
     pytest.param(holed_counts, CHUNK + 1, 32, id="interior-zeros"),
@@ -135,6 +167,9 @@ def holed_counts(last_cell=7, empty_last_row=False):
     pytest.param(lambda: holed_counts(last_cell=0, empty_last_row=True), CHUNK + 1, 32,
                  id="zero-last-row"),
     pytest.param(tmsv_counts, CHUNK + 1, 2**100 + 3, id="multi-word-seed"),
+    # one full chunk, and one replicate into the next
+    *(pytest.param(make, support_chunk(shape[0]) + offset, 32, id=f"{name}-chunk{offset:+d}")
+      for name, (make, shape) in SUPPORT_GRIDS.items() for offset in (0, 1)),
 ])
 def test_chunked_bootstrap_matches_serial_replay(make_counts, replicates, seed):
     counts = make_counts()
@@ -145,8 +180,13 @@ def test_chunked_bootstrap_matches_serial_replay(make_counts, replicates, seed):
         assert batched[name].drop_fraction == drop
         if stderr is None:
             assert batched[name].stderr is None
+        elif stderr < ROUNDING_SPREAD:
+            # constant in exact arithmetic (kappa on one condition, Q_A on
+            # outcomes 0 and N alone): the spread is rounding, which differs
+            # between the grids
+            assert batched[name].stderr < ROUNDING_SPREAD, name
         else:
-            assert math.isclose(batched[name].stderr, stderr, rel_tol=1e-12)
+            assert math.isclose(batched[name].stderr, stderr, rel_tol=1e-12), name
 
 
 @pytest.mark.parametrize("state, eta, shots", [
@@ -172,3 +212,21 @@ def test_bootstrap_matches_reference(state, eta, shots, bins):
             assert got[name].stderr is None, name
         else:
             assert math.isclose(got[name].stderr, stderr, rel_tol=1e-10), name
+
+
+@pytest.mark.parametrize("name", SUPPORT_GRIDS)
+def test_chunks_stay_within_the_full_grid_bound(name, monkeypatch):
+    # every chunk is scored on the support grid, and no chunk holds more
+    # conditions than CHUNK replicates of the full grid
+    make_counts, shape = SUPPORT_GRIDS[name]
+    shapes = []
+
+    def record(probs, clicks):
+        shapes.append(probs.shape)
+        return stack_statistics(probs, clicks)
+
+    monkeypatch.setattr(criteria, "stack_statistics", record)
+    chunk = support_chunk(shape[0])
+    bootstrap(make_counts(), BootstrapConfig(replicates=2 * chunk + 1, seed=3))
+    assert shapes == [(chunk, *shape), (chunk, *shape), (1, *shape)]
+    assert chunk * shape[0] <= CHUNK * 9
