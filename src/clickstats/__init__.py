@@ -4,8 +4,7 @@ from .model import (ClickStatsError, CountMatrix, CriteriaReport, DetectorConfig
                     Estimate, JointClickDistribution, JointPhotonDistribution,
                     UndefinedStatisticError, ValidationError, Verdict, normalize)
 from .simulator import (StateSpec, build_photon_distribution, fock_click_kernel,
-                        joint_click_distribution, sample_counts,
-                        sample_counts_physical)
+                        joint_click_distribution, sample_counts)
 from .criteria import (binomial_q, conditional_nonclassicality_number,
                        evaluate_all, kappa, kappa_cl_max, min_eigenvalue,
                        moment_matrix, pearson, pearson_cl_max)
@@ -17,7 +16,7 @@ __all__ = [
     "CountMatrix", "CriteriaReport", "Estimate", "Verdict",
     "normalize",
     "StateSpec", "build_photon_distribution", "fock_click_kernel",
-    "joint_click_distribution", "sample_counts", "sample_counts_physical",
+    "joint_click_distribution", "sample_counts",
     "binomial_q", "kappa", "kappa_cl_max", "pearson", "pearson_cl_max",
     "moment_matrix", "min_eigenvalue", "conditional_nonclassicality_number",
     "evaluate_all",

@@ -25,9 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria
-from .model import (ClickStatsError, CountMatrix, CriteriaReport, DetectorConfig,
-                    JointClickDistribution, UndefinedStatisticError,
-                    ValidationError, normalize)
+from .model import (CountMatrix, CriteriaReport, DetectorConfig, JointClickDistribution,
+                    UndefinedStatisticError, ValidationError, normalize)
 from .simulator import (StateSpec, build_photon_distribution,
                         joint_click_distribution, sample_counts)
 from .uncertainty import BootstrapConfig, bootstrap
@@ -67,6 +66,13 @@ def _read_text(path) -> str:
         raise ValidationError(f"{path}: not UTF-8 text") from exc
 
 
+def _read_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path}: not JSON: {exc}") from exc
+
+
 def read_counts_csv(path) -> CountMatrix:
     lines = _read_text(path).strip().splitlines()
     if not lines or not lines[0].startswith("#"):
@@ -75,7 +81,7 @@ def read_counts_csv(path) -> CountMatrix:
     try:
         rows = [[int(v) for v in line.split(",")] for line in lines[1:] if line.strip()]
         counts = np.array(rows, dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed counts row") from exc
     if counts.shape != (bins_a + 1, bins_b + 1):
         raise ValidationError(
@@ -146,12 +152,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    criteria.check_threshold(args.threshold)
     counts = read_counts_csv(args.counts)
     seed = _seed(args)
     jcd = normalize(counts)
     errors = bootstrap(counts, BootstrapConfig(replicates=args.replicates, seed=seed))
     meta_path = Path(str(args.counts) + ".meta.json")
-    parameters = json.loads(_read_text(meta_path)) if meta_path.exists() else {}
+    parameters = _read_json(meta_path) if meta_path.exists() else {}
     if not isinstance(parameters, dict):
         raise ValidationError(f"{meta_path}: sidecar must be a JSON object")
     label = args.label or parameters.get("label") or Path(args.counts).stem
@@ -219,9 +226,7 @@ def render_report_table(reports: list[CriteriaReport]) -> str:
 def cmd_report(args) -> int:
     if not args.reports:
         raise ValidationError("no report files given")
-    reports = []
-    for path in args.reports:
-        reports.append(CriteriaReport.from_dict(json.loads(_read_text(path))))
+    reports = [CriteriaReport.from_dict(_read_json(path)) for path in args.reports]
     table = render_report_table(reports)
     if args.out:
         Path(args.out).write_text(table + "\n")
@@ -281,7 +286,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (UndefinedStatisticError, FloatingPointError) as exc:

@@ -238,25 +238,28 @@ def min_eigenvalue(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 def _as_estimate(value: float, err) -> Estimate:
     if math.isnan(value):
         return Estimate.undefined()
-    if err is not None and not err.defined:
-        return Estimate(value=value, stderr=None, defined=False)
-    return Estimate(value=value, stderr=err.stderr if err else None)
+    return Estimate(value=value, stderr=None if err is None else err.stderr,
+                    defined=err is None or err.defined)
 
 
 def _as_verdict(margin: float, err, threshold: float) -> Verdict:
     """Margin > EXACT_MARGIN_TOL is a violation; with bootstrap errors it must
     instead exceed threshold standard errors."""
-    if math.isnan(margin):
+    if math.isnan(margin) or (err is not None and not err.defined):
         return Verdict(violated=None)
     if err is None:
         return Verdict(violated=bool(margin > EXACT_MARGIN_TOL))
-    if not err.defined or err.stderr is None:
-        return Verdict(violated=None)
     if err.stderr == 0.0:
         return Verdict(violated=bool(margin > 0.0),
                        significance_sigmas=math.inf if margin > 0.0 else 0.0)
     sig = margin / err.stderr
     return Verdict(violated=bool(sig > threshold), significance_sigmas=sig)
+
+
+def check_threshold(threshold: float) -> None:
+    """A verdict threshold, in standard errors, must be finite and positive."""
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
 
 
 def evaluate_all(jcd: JointClickDistribution,
@@ -275,8 +278,7 @@ def evaluate_all(jcd: JointClickDistribution,
     exact distribution. ``threshold``, in standard errors, must be finite and
     positive.
     """
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
+    check_threshold(threshold)
     point = stack_statistics(jcd.probs)
     values = {name: float(v) for name, v in point.values.items()}
     errors = errors or {}

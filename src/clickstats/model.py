@@ -283,5 +283,5 @@ class CriteriaReport:
                 parameters=prov.get("parameters", {}),
                 **kwargs,
             )
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed report: {exc!r}") from exc

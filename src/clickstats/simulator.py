@@ -1,4 +1,5 @@
-"""Exact click distributions for the standard state families, and samplers.
+"""Exact click distributions for the standard state families, and the
+finite-shot sampler.
 
 The detector model is an array of N on-off bins with uniform splitting,
 per-photon efficiency eta and per-bin dark-click probability nu. The click
@@ -149,35 +150,3 @@ def sample_counts(jcd: JointClickDistribution, shots: int, seed: int) -> CountMa
     flat = rng.multinomial(shots, jcd.probs.ravel() / jcd.probs.sum())
     return CountMatrix(flat.reshape(jcd.probs.shape))
 
-
-def sample_counts_physical(jpd: JointPhotonDistribution,
-                           cfg_a: DetectorConfig,
-                           cfg_b: DetectorConfig,
-                           shots: int,
-                           seed: int) -> CountMatrix:
-    """Brute-force stochastic detector model, vectorised over shots.
-
-    Independent oracle for the analytic kernel: photons are thinned by the
-    efficiency, placed uniformly into bins, and bins dark-click independently.
-    """
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
-    pflat = jpd.probs.ravel() / jpd.probs.sum()
-    rng = np.random.default_rng(seed)
-    n_a, n_b = np.divmod(rng.choice(pflat.size, size=shots, p=pflat),
-                         jpd.probs.shape[1])
-
-    def arm_clicks(n, cfg):
-        detected = rng.binomial(n, cfg.efficiency)
-        # spread the detected photons uniformly over the bins, then count
-        # occupied bins; dark clicks fire independently on every bin
-        clicking = rng.multinomial(detected, np.full(cfg.bins, 1.0 / cfg.bins)) > 0
-        if cfg.dark_click > 0.0:
-            clicking |= rng.random(size=(shots, cfg.bins)) < cfg.dark_click
-        return clicking.sum(axis=1)
-
-    a = arm_clicks(n_a, cfg_a)
-    b = arm_clicks(n_b, cfg_b)
-    joint = np.ravel_multi_index((a, b), (cfg_a.bins + 1, cfg_b.bins + 1))
-    counts = np.bincount(joint, minlength=(cfg_a.bins + 1) * (cfg_b.bins + 1))
-    return CountMatrix(counts.reshape(cfg_a.bins + 1, cfg_b.bins + 1))

@@ -10,8 +10,8 @@ The random stream is part of the contract: replicate i is the one multinomial
 draw of the full shot count made by ``np.random.default_rng(child)``, where
 ``child`` is the i-th of ``np.random.SeedSequence(seed).spawn(replicates)``.
 The bootstrap reproduces that stream bit for bit without building the
-per-child objects: it computes every child's PCG64 state at once and loads
-it into one generator before each draw.
+per-child objects: it mixes only the spawn indices into the pool numpy mixes
+from the seed, and loads each child's PCG64 state into one generator.
 
 Each replicate is drawn and scored on the count matrix's support grid only:
 the rows and columns with at least one count, and always row N_A and column
@@ -75,13 +75,16 @@ class BootstrapConfig:
 class BootstrapStat:
     """Standard error of one statistic across replicates.
 
-    ``defined`` is False when the statistic was undefined on more than half of
+    ``stderr`` is None when the statistic was undefined on more than half of
     the replicates; ``drop_fraction`` records how many were dropped.
     """
 
     stderr: float | None
     drop_fraction: float
-    defined: bool = True
+
+    @property
+    def defined(self) -> bool:
+        return self.stderr is not None
 
 
 def _hashmix(value, const: int, mult: int):
@@ -92,40 +95,24 @@ def _hashmix(value, const: int, mult: int):
     return value ^ value >> 16, const_next
 
 
-def _mix(x, y):
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ value >> 16
-
-
 def _child_states(seed: int, count: int):
     """Yield ``np.random.PCG64(child).state`` for the first ``count``
     (< 2**32) children of ``SeedSequence(seed).spawn``, without building them.
 
-    A child's entropy is the seed's 32-bit words, zero-padded to the pool
-    size, then its spawn index. Only that last word differs between children,
-    so the pool is mixed once from the seed; the last word's mixing and
-    ``generate_state(4, uint64)`` run on an array of all children, and
-    PCG64's seeding step on Python ints.
+    A child's entropy is its parent's, then its spawn index, so every child
+    starts from ``SeedSequence(seed).pool``. Only the spawn index is mixed
+    here, and ``generate_state(4, uint64)`` run, on an array of all children;
+    PCG64's seeding step runs on Python ints. The hash constant advances once
+    per hash, 4 * max(4, words) times over the seed's 32-bit words.
     """
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    words += [0] * (_POOL - len(words))
-    const = _INIT_A
-    pool = []
-    for word in words[:_POOL]:
-        value, const = _hashmix(word, const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL:] + [np.arange(count, dtype=np.uint64)]:
-        for dst in range(_POOL):
-            value, const = _hashmix(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
+    words = max(1, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 4 * max(_POOL, words), 1 << 32) & _MASK32
+    pool = [int(word) for word in np.random.SeedSequence(seed).pool]
+    index = np.arange(count, dtype=np.uint64)
+    for dst in range(_POOL):
+        value, const = _hashmix(index, const, _MULT_A)
+        mixed = (_MIX_L * pool[dst] - _MIX_R * value) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
 
     const = _INIT_B
     halves = []
@@ -187,9 +174,7 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
         values = np.concatenate(samples[name])
         values = values[~np.isnan(values)]
         drop = 1.0 - values.size / cfg.replicates
-        if drop > MAX_DROP_FRACTION or values.size < 2:
-            out[name] = BootstrapStat(stderr=None, drop_fraction=drop, defined=False)
-        else:
-            out[name] = BootstrapStat(stderr=float(np.std(values, ddof=1)),
-                                      drop_fraction=drop)
+        kept = drop <= MAX_DROP_FRACTION and values.size >= 2
+        out[name] = BootstrapStat(stderr=float(np.std(values, ddof=1)) if kept else None,
+                                  drop_fraction=drop)
     return out

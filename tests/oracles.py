@@ -3,8 +3,9 @@
 These deliberately avoid the package's occupancy-chain kernel: click
 distributions are obtained by exhaustively enumerating every placement of the
 photons into the detector bins and convolving exact per-bin click
-probabilities, or, for coherent light, from the binomial closed form. The
-criteria are written out again from their closed forms, and the descriptive
+probabilities, or, for coherent light, from the binomial closed form, or
+drawn shot by shot from a Monte-Carlo of the detector. The criteria are
+written out again from their closed forms, and the descriptive
 statistics of a joint distribution (marginals, conditionals, covariance,
 summed click mean) from their definitions, so no code from the package is
 involved.
@@ -57,6 +58,38 @@ def coherent_click_marginal(mean: float, bins: int, eta: float, nu: float) -> np
     p = 1.0 - (1.0 - nu) * math.exp(-eta * mean / bins)
     return np.array([math.comb(bins, b) * p ** b * (1.0 - p) ** (bins - b)
                      for b in range(bins + 1)])
+
+
+def sample_counts_physical(photon_probs: np.ndarray, cfg_a, cfg_b, shots: int,
+                           seed: int) -> np.ndarray:
+    """Click counts C(a, b) from a brute-force Monte-Carlo of the detector,
+    vectorised over shots.
+
+    Each shot draws a photon pair (n_A, n_B) from ``photon_probs``. On each
+    arm (``cfg`` gives ``bins``, ``efficiency`` and ``dark_click``) every
+    photon is detected independently with the efficiency, the detected
+    photons are placed into uniformly random bins, and every bin also
+    dark-clicks independently; the click number is the number of bins that
+    fire. Nothing of the analytic kernel is used, so the sampled counts test
+    it.
+    """
+    pflat = photon_probs.ravel() / photon_probs.sum()
+    rng = np.random.default_rng(seed)
+    n_a, n_b = np.divmod(rng.choice(pflat.size, size=shots, p=pflat),
+                         photon_probs.shape[1])
+
+    def arm_clicks(n, cfg):
+        detected = rng.binomial(n, cfg.efficiency)
+        clicking = rng.multinomial(detected, np.full(cfg.bins, 1.0 / cfg.bins)) > 0
+        if cfg.dark_click > 0.0:
+            clicking |= rng.random(size=(shots, cfg.bins)) < cfg.dark_click
+        return clicking.sum(axis=1)
+
+    a = arm_clicks(n_a, cfg_a)
+    b = arm_clicks(n_b, cfg_b)
+    joint = np.ravel_multi_index((a, b), (cfg_a.bins + 1, cfg_b.bins + 1))
+    counts = np.bincount(joint, minlength=(cfg_a.bins + 1) * (cfg_b.bins + 1))
+    return counts.reshape(cfg_a.bins + 1, cfg_b.bins + 1)
 
 
 def poisson_pmf(mean: float, n_max: int) -> np.ndarray:

@@ -1,11 +1,17 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import clickstats as cs
+from clickstats import cli
 from clickstats.cli import (main, read_counts_csv, render_report_table,
                             write_counts_csv)
+from clickstats.model import ValidationError
 
 
 def run(args):
@@ -122,11 +128,17 @@ def test_negative_seed_is_data_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-3", "0"])
-def test_threshold_not_finite_and_positive_is_data_error(tmp_path, capsys, value):
+def test_threshold_not_finite_and_positive_is_data_error(tmp_path, capsys, monkeypatch,
+                                                         value):
     # NaN and inf were written as non-strict JSON, NaN left a 7-sigma kappa
-    # violation unflagged and -3 flagged every verdict
+    # violation unflagged and -3 flagged every verdict; the threshold is
+    # checked before the bootstrap runs
+    def no_bootstrap(*args):
+        raise AssertionError("bootstrap ran before the threshold was checked")
+    counts = simulate_sp(tmp_path, shots=2000)
+    monkeypatch.setattr(cli, "bootstrap", no_bootstrap)
     report = tmp_path / "r.json"
-    code = run(["analyze", "--counts", simulate_sp(tmp_path, shots=2000),
+    code = run(["analyze", "--counts", counts,
                 "--replicates", 10, "--seed", 1, "--threshold", value,
                 "--report-out", report])
     assert code == 2
@@ -178,6 +190,18 @@ def _sidecar_list(tmp_path):
             "--report-out", tmp_path / "r.json"]
 
 
+def _count_beyond_int64(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("# bins_a=2 bins_b=2\n" + "9" * 30 + ",0,0\n0,0,0\n0,0,1\n")
+    return ["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]
+
+
+def _report_text(tmp_path, text):
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    return ["report", path]
+
+
 def _without(data, key):
     del data[key]
     return data
@@ -197,9 +221,15 @@ def _without_bins_a(data):
     (lambda p: _report_file(p, lambda d: {**d, "kappa": "0.5"}), "malformed report"),
     (lambda p: _report_file(p, lambda d: {**d, "frak_n": {"value": 1.0, "stderr": "x"}}),
      "malformed report"),
+    (_count_beyond_int64, "malformed counts row"),
+    (lambda p: _report_file(p, lambda d: {**d, "kappa": {**d["kappa"], "value": 10**400}}),
+     "malformed report"),
+    (lambda p: _report_text(p, "1" * 5000), "not JSON"),
+    (lambda p: _report_text(p, "[" * 10**5), "not JSON"),
 ], ids=["non-utf8-counts", "sidecar-list", "report-missing-field",
         "report-list", "provenance-without-bins_a", "estimate-is-string",
-        "stderr-is-string"])
+        "stderr-is-string", "count-beyond-int64", "report-value-beyond-float",
+        "report-integer-beyond-digit-limit", "report-nested-too-deep"])
 def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, message):
     assert run(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -290,3 +320,91 @@ def test_degenerate_counts_give_strict_json(tmp_path):
     assert data["kappa_test"]["violated"] is None
     assert run(["report", report_path]) == 0
 
+
+# Integers past int64 and past the largest float. Hypothesis draws small
+# integers far more often than these, and the first entries of a sampled list
+# more often than the last, so the float-overflowing ones come first.
+_HUGE_INTS = st.sampled_from([10**400, -10**400, 10**30, 2**63, -2**63 - 1])
+
+# Counts files: a valid or mangled header, then a rectangular block of
+# integers, rows of integer-like cells or text, or arbitrary text.
+_HEADERS = st.one_of(st.just("# bins_a=2 bins_b=2"),
+                     st.text(max_size=24).map("#".__add__), st.text(max_size=24))
+_INTS = st.one_of(st.integers(min_value=-2), _HUGE_INTS).map(str)
+_BLOCK = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(_INTS, min_size=width, max_size=width), max_size=4))
+_ROWS = st.lists(st.lists(_INTS | st.text(max_size=3), min_size=1, max_size=4), max_size=4)
+_BODIES = st.one_of(_BLOCK, _ROWS).map(lambda rows: "\n".join(map(",".join, rows)))
+
+
+@given(header=_HEADERS, body=_BODIES | st.text())
+@example(header="# bins_a=2 bins_b=2", body="9" * 30 + ",0,0\n0,0,0\n0,0,1")
+def test_read_counts_csv_fuzz(header, body):
+    # the reader raises nothing but ValidationError, and the CLI exits 2 on
+    # every file it rejects
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        path.write_text(header + "\n" + body, encoding="utf-8")
+        try:
+            read_counts_csv(path)
+            rejected = False
+        except ValidationError:
+            rejected = True
+        code = run(["analyze", "--counts", path, "--replicates", 2, "--seed", 1,
+                    "--report-out", Path(tmp) / "r.json"])
+    assert code == 2 if rejected else code in (0, 2)
+
+
+def _valid_report() -> dict:
+    cfg = cs.DetectorConfig(4, 0.5, 1e-4)
+    jcd = cs.joint_click_distribution(
+        cs.build_photon_distribution(cs.StateSpec.tmsv(0.3)), cfg, cfg)
+    return cs.evaluate_all(jcd).to_dict()
+
+
+def _paths(data, prefix=()):
+    """Every key path into a nested report dict, intermediate ones included."""
+    for key, value in data.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+def _value_at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+_REPORT = _valid_report()
+_PATHS = sorted(_paths(_REPORT))
+_NUMBER_PATHS = [path for path in _PATHS
+                 if isinstance(_value_at(_REPORT, path), (int, float, type(None)))]
+_NUMBERS = _HUGE_INTS | st.floats() | st.integers()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | _NUMBERS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+# half of the splices put a number where the report holds a number or null,
+# the fields from_dict converts; the rest put any JSON value anywhere
+@given(splice=st.tuples(st.sampled_from(_NUMBER_PATHS), _NUMBERS)
+       | st.tuples(st.sampled_from(_PATHS), _JSON))
+@example(splice=(("kappa", "value"), 10**400))
+def test_report_from_dict_fuzz(splice):
+    # from_dict raises nothing but ValidationError, and `clickstats report`
+    # exits 2 exactly then
+    data = copy.deepcopy(_REPORT)
+    path, value = splice
+    _value_at(data, path[:-1])[path[-1]] = value
+    try:
+        cs.CriteriaReport.from_dict(data)
+        rejected = False
+    except ValidationError:
+        rejected = True
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "r.json"
+        report.write_text(json.dumps(data))
+        assert run(["report", report]) == (2 if rejected else 0)

@@ -34,7 +34,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("replicates", [1, 2, CHUNK + 1])
-@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**100 + 3])
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**100 + 3, 2**160 + 3])
 def test_child_states_equal_spawned_generators(seed, replicates):
     children = np.random.SeedSequence(seed).spawn(replicates)
     assert list(_child_states(seed, replicates)) == [np.random.PCG64(c).state
