@@ -13,7 +13,7 @@ verdict, and full provenance (seed, shots, parameters).
 Exit codes: 0 success, 1 usage error, 2 data error (including more than
 model.MAX_BINS bins on an arm, a coherent mean above
 simulator.MAX_COHERENT_MEAN, --lambda2 or --t2 outside (0, 1), a threshold
-that is not finite and positive, and a negative seed), 3 numerical failure.
+that is not finite and positive, and a negative seed).
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import criteria
 from .model import (CountMatrix, CriteriaReport, DetectorConfig, JointClickDistribution,
-                    UndefinedStatisticError, ValidationError, normalize)
+                    ValidationError, normalize)
 from .simulator import (StateSpec, build_photon_distribution,
                         joint_click_distribution, sample_counts)
 from .uncertainty import BootstrapConfig, bootstrap
@@ -34,7 +34,9 @@ from .uncertainty import BootstrapConfig, bootstrap
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-EXIT_NUMERICAL = 3
+
+# Verdict.violated -> table cell; None is an undetermined test
+VERDICT_SYMBOLS = {True: "✓", False: "✗", None: "?"}
 
 
 def write_counts_csv(path, counts: CountMatrix) -> None:
@@ -114,9 +116,7 @@ def _state_spec(args) -> StateSpec:
         return StateSpec.coherent(args.mean_a, args.mean_b)
     if args.state == "tmsv":
         return StateSpec.tmsv(_squared_amplitude(args, "lambda2"))
-    if args.state == "split-photon":
-        return StateSpec.split_photon(_squared_amplitude(args, "t2"))
-    raise ValidationError(f"unknown state {args.state!r}")
+    return StateSpec.split_photon(_squared_amplitude(args, "t2"))
 
 
 def cmd_simulate(args) -> int:
@@ -191,12 +191,6 @@ def _write_plot_data(path, report: CriteriaReport) -> None:
             fh.write(f"{name},{repr(est.value)},{bound_value},{stderr}\n")
 
 
-def _verdict_symbol(v) -> str:
-    if v.violated is None:
-        return "?"
-    return "✓" if v.violated else "✗"
-
-
 def render_report_table(reports: list[CriteriaReport]) -> str:
     header = ("dataset", "E(a+b)", "kappa>bound", "|gamma|>bound", "N<0",
               "frak_n (rel err)")
@@ -212,9 +206,9 @@ def render_report_table(reports: list[CriteriaReport]) -> str:
         else:
             n_txt = "n/a"
         rows.append((r.label or "-", e_txt,
-                     _verdict_symbol(r.kappa_test),
-                     _verdict_symbol(r.gamma_test),
-                     _verdict_symbol(r.frak_n_test),
+                     VERDICT_SYMBOLS[r.kappa_test.violated],
+                     VERDICT_SYMBOLS[r.gamma_test.violated],
+                     VERDICT_SYMBOLS[r.frak_n_test.violated],
                      n_txt))
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -289,9 +283,6 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (UndefinedStatisticError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -40,10 +40,6 @@ WHY_UNDEFINED = {
     "frak_n": "no supported conditions",
 }
 
-# Every conditional moment of a valid distribution lies in [0, 1]; the report
-# flags moments outside it by more than rounding.
-MOMENT_TOL = 1e-12
-
 # An exact margin (no bootstrap errors) must exceed this to count as violated:
 # coherent light, on every classical bound, reads rounding and the TAIL_MASS
 # cut (1e-16 to 1e-9). Below the benchmark's 1e-8 check of exact statistics.
@@ -298,8 +294,6 @@ def evaluate_all(jcd: JointClickDistribution,
         seed=seed,
         threshold=threshold,
         label=label,
-        moment_warning=bool(np.any((point.moments < -MOMENT_TOL)
-                                   | (point.moments > 1.0 + MOMENT_TOL))),
         condition_counts=condition_counts,
         parameters=parameters or {},
     )

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import NoneType
 
 import numpy as np
 
@@ -34,6 +35,16 @@ class UndefinedStatisticError(ClickStatsError):
 def _json_number(x: float | None) -> float | None:
     """JSON has no NaN or Infinity: non-finite numbers are written as null."""
     return x if x is None or math.isfinite(x) else None
+
+
+def _typed(d: dict, key: str, *kinds: type):
+    """``d[key]`` if its type is one of ``kinds`` exactly (a bool is no int),
+    else TypeError; an int comes back as a float where float is allowed."""
+    value = d[key]
+    if type(value) not in kinds:
+        raise TypeError(f"{key} must be {' or '.join(k.__name__ for k in kinds)}, "
+                        f"got {type(value).__name__}")
+    return float(value) if type(value) is int and float in kinds else value
 
 
 def _check_matrix(arr: np.ndarray, what: str) -> None:
@@ -129,9 +140,10 @@ class JointClickDistribution:
 
 @dataclass(frozen=True)
 class CountMatrix:
-    """Raw coincidence counts C(a, b) from a finite number of shots."""
+    """Raw coincidence counts C(a, b) and their ``total``, at most 2^63 - 1."""
 
     counts: np.ndarray
+    total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts)
@@ -142,6 +154,10 @@ class CountMatrix:
         if np.any(counts < 0):
             raise ValidationError("negative count")
         object.__setattr__(self, "counts", _as_readonly(counts, np.int64))
+        # summed in Python ints: an int64 sum wraps silently
+        object.__setattr__(self, "total", sum(self.counts.ravel().tolist()))
+        if self.total > np.iinfo(np.int64).max:
+            raise ValidationError(f"total count {self.total} exceeds 2^63 - 1")
 
     @property
     def bins_a(self) -> int:
@@ -150,10 +166,6 @@ class CountMatrix:
     @property
     def bins_b(self) -> int:
         return self.counts.shape[1] - 1
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def normalize(counts: CountMatrix) -> JointClickDistribution:
@@ -182,10 +194,10 @@ class Estimate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Estimate":
-        value, stderr = d["value"], d.get("stderr")
-        return cls(value=float("nan") if value is None else float(value),
-                   stderr=None if stderr is None else float(stderr),
-                   defined=bool(d.get("defined", True)))
+        value = _typed(d, "value", int, float, NoneType)
+        return cls(value=math.nan if value is None else value,
+                   stderr=_typed(d, "stderr", int, float, NoneType),
+                   defined=_typed(d, "defined", bool))
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,8 +217,9 @@ class Verdict:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Verdict":
-        return cls(violated=d["violated"],
-                   significance_sigmas=d.get("significance_sigmas"))
+        return cls(violated=_typed(d, "violated", bool, NoneType),
+                   significance_sigmas=_typed(d, "significance_sigmas",
+                                              int, float, NoneType))
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,7 +244,6 @@ class CriteriaReport:
     seed: int | None = None
     threshold: float = 3.0
     label: str = ""
-    moment_warning: bool = False
     condition_counts: tuple = ()
     parameters: dict = field(default_factory=dict)
 
@@ -252,7 +264,8 @@ class CriteriaReport:
             "bootstrap_replicates": self.bootstrap_replicates,
             "seed": self.seed,
             "threshold": self.threshold,
-            "moment_warning": self.moment_warning,
+            # a schema v1 key: conditional moments always lie in [0, 1]
+            "moment_warning": False,
             "condition_counts": list(self.condition_counts),
             "parameters": self.parameters,
         }
@@ -262,26 +275,27 @@ class CriteriaReport:
     def from_dict(cls, d: dict) -> "CriteriaReport":
         if not isinstance(d, dict):
             raise ValidationError("report must be a JSON object")
-        if d.get("schema_version") != 1:
+        if type(d.get("schema_version")) is not int or d["schema_version"] != 1:
             raise ValidationError(
                 f"unsupported report schema version: {d.get('schema_version')!r}")
         try:
-            prov = d.get("provenance", {})
-            kwargs = {name: Estimate.from_dict(d[name]) for name in cls.STAT_FIELDS}
-            kwargs.update({name: Verdict.from_dict(d[name])
-                           for name in cls.VERDICT_FIELDS})
+            prov = _typed(d, "provenance", dict)
+            if any(type(n) is not int for n in _typed(prov, "condition_counts", list)):
+                raise TypeError("condition_counts must hold ints")
             return cls(
-                bins_a=prov["bins_a"],
-                bins_b=prov["bins_b"],
-                total_shots=prov.get("shots"),
-                bootstrap_replicates=prov.get("bootstrap_replicates"),
-                seed=prov.get("seed"),
-                threshold=prov.get("threshold", 3.0),
-                label=str(d.get("label", "")),
-                moment_warning=prov.get("moment_warning", False),
-                condition_counts=tuple(prov.get("condition_counts", ())),
-                parameters=prov.get("parameters", {}),
-                **kwargs,
+                bins_a=_typed(prov, "bins_a", int),
+                bins_b=_typed(prov, "bins_b", int),
+                total_shots=_typed(prov, "shots", int, NoneType),
+                bootstrap_replicates=_typed(prov, "bootstrap_replicates", int, NoneType),
+                seed=_typed(prov, "seed", int, NoneType),
+                threshold=_typed(prov, "threshold", int, float),
+                label=_typed(d, "label", str),
+                condition_counts=tuple(prov["condition_counts"]),
+                parameters=_typed(prov, "parameters", dict),
+                **{name: Estimate.from_dict(_typed(d, name, dict))
+                   for name in cls.STAT_FIELDS},
+                **{name: Verdict.from_dict(_typed(d, name, dict))
+                   for name in cls.VERDICT_FIELDS},
             )
-        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValidationError(f"malformed report: {exc!r}") from exc

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,18 @@ def test_simulate_writes_counts_and_sidecar(tmp_path):
     meta = json.loads((tmp_path / "sp.csv.meta.json").read_text())
     assert meta["seed"] == 7
     assert meta["detector_a"]["eta"] == 0.45
+
+
+def test_simulate_arm_b_overrides(tmp_path):
+    out = tmp_path / "c.csv"
+    code = run(["simulate", "--state", "tmsv", "--lambda2", 0.1, "--bins", 8,
+                "--eta", 0.5, "--nu", 1e-4, "--bins-b", 4, "--eta-b", 0.9,
+                "--nu-b", 1e-3, "--shots", 1000, "--seed", 1, "--counts-out", out])
+    assert code == 0
+    assert read_counts_csv(out).counts.shape == (9, 5)
+    meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+    assert meta["detector_a"] == {"bins": 8, "eta": 0.5, "nu": 1e-4}
+    assert meta["detector_b"] == {"bins": 4, "eta": 0.9, "nu": 1e-3}
 
 
 def test_simulate_coherent_vacuum(tmp_path):
@@ -190,10 +204,14 @@ def _sidecar_list(tmp_path):
             "--report-out", tmp_path / "r.json"]
 
 
-def _count_beyond_int64(tmp_path):
+def _counts_text(tmp_path, text):
     path = tmp_path / "c.csv"
-    path.write_text("# bins_a=2 bins_b=2\n" + "9" * 30 + ",0,0\n0,0,0\n0,0,1\n")
+    path.write_text(text)
     return ["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]
+
+
+def _simulate(tmp_path, *flags):
+    return ["simulate", *flags, "--seed", 1, "--counts-out", tmp_path / "c.csv"]
 
 
 def _report_text(tmp_path, text):
@@ -212,6 +230,11 @@ def _without_bins_a(data):
     return data
 
 
+def _set(data, path, value):
+    _value_at(data, path[:-1])[path[-1]] = value
+    return data
+
+
 @pytest.mark.parametrize("make_argv, message", [
     (_non_utf8_counts, "not UTF-8"),
     (_sidecar_list, "sidecar must be a JSON object"),
@@ -221,15 +244,37 @@ def _without_bins_a(data):
     (lambda p: _report_file(p, lambda d: {**d, "kappa": "0.5"}), "malformed report"),
     (lambda p: _report_file(p, lambda d: {**d, "frak_n": {"value": 1.0, "stderr": "x"}}),
      "malformed report"),
-    (_count_beyond_int64, "malformed counts row"),
+    (lambda p: _counts_text(p, "# bins_a=2 bins_b=2\n" + "9" * 30 + ",0,0\n0,0,0\n0,0,1\n"),
+     "malformed counts row"),
     (lambda p: _report_file(p, lambda d: {**d, "kappa": {**d["kappa"], "value": 10**400}}),
      "malformed report"),
     (lambda p: _report_text(p, "1" * 5000), "not JSON"),
     (lambda p: _report_text(p, "[" * 10**5), "not JSON"),
+    # five cells of 2^62 wrapped to a sum of 2^62 and read "not normalized"
+    (lambda p: _counts_text(p, f"# bins_a=2 bins_b=2\n{2**62},{2**62},0\n"
+                               f"{2**62},{2**62},0\n0,0,{2**62}\n"),
+     "total count 23058430092136939520 exceeds 2^63 - 1"),
+    (lambda p: _counts_text(p, "# bins_a=2 bins_b=2\n1,0,0\n0,-1,0\n0,0,1\n"),
+     "negative count"),
+    (lambda p: _simulate(p, "--state", "coherent", "--mean-a", 0.5, "--shots", 0),
+     "shots must be >= 1"),
+    (lambda p: _simulate(p, "--state", "tmsv", "--shots", 10), "tmsv requires --lambda2"),
+    # a string "false" rendered as a violation
+    (lambda p: _report_file(p, lambda d: _set(d, ("kappa_test", "violated"), "false")),
+     "violated must be bool or NoneType, got str"),
+    (lambda p: _report_file(p, lambda d: _set(d, ("provenance", "bins_a"), "eight")),
+     "bins_a must be int, got str"),
+    (lambda p: _report_file(p, lambda d: _set(d, ("provenance", "seed"), True)),
+     "seed must be int or NoneType, got bool"),
+    (lambda p: _report_file(p, lambda d: {**d, "schema_version": True}),
+     "unsupported report schema version: True"),
 ], ids=["non-utf8-counts", "sidecar-list", "report-missing-field",
         "report-list", "provenance-without-bins_a", "estimate-is-string",
         "stderr-is-string", "count-beyond-int64", "report-value-beyond-float",
-        "report-integer-beyond-digit-limit", "report-nested-too-deep"])
+        "report-integer-beyond-digit-limit", "report-nested-too-deep",
+        "count-sum-beyond-int64", "negative-count", "zero-shots",
+        "tmsv-without-lambda2", "verdict-is-string", "bins_a-is-string",
+        "seed-is-bool", "schema-version-is-bool"])
 def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, message):
     assert run(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -290,6 +335,8 @@ def test_report_single_row(tmp_path):
     report = cs.CriteriaReport.from_dict(json.loads(report_path.read_text()))
     table = render_report_table([report])
     assert len(table.strip().splitlines()) == 3  # header, rule, one row
+    undefined = dataclasses.replace(report, frak_n=cs.Estimate.undefined())
+    assert render_report_table([undefined]).splitlines()[2].endswith("  n/a")
 
 
 def test_report_empty_input(tmp_path):
@@ -388,23 +435,44 @@ _JSON = st.recursive(
     max_leaves=6)
 
 
+def _assert_typed(obj):
+    """Every field of a report, and of its estimates and verdicts, holds
+    exactly a type its annotation names (so a bool is no int)."""
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        assert type(value) in (typing.get_args(hints[f.name]) or (hints[f.name],)), f.name
+        if dataclasses.is_dataclass(value):
+            _assert_typed(value)
+
+
 # half of the splices put a number where the report holds a number or null,
 # the fields from_dict converts; the rest put any JSON value anywhere
 @given(splice=st.tuples(st.sampled_from(_NUMBER_PATHS), _NUMBERS)
        | st.tuples(st.sampled_from(_PATHS), _JSON))
 @example(splice=(("kappa", "value"), 10**400))
+@example(splice=(("kappa_test", "violated"), "false"))
+@example(splice=(("provenance", "bins_a"), "eight"))
 def test_report_from_dict_fuzz(splice):
-    # from_dict raises nothing but ValidationError, and `clickstats report`
-    # exits 2 exactly then
+    # from_dict raises nothing but ValidationError, `clickstats report` exits 2
+    # exactly then, and an accepted report holds its declared types and
+    # renders its verdicts as the values the file holds
     data = copy.deepcopy(_REPORT)
     path, value = splice
-    _value_at(data, path[:-1])[path[-1]] = value
+    _set(data, path, value)
     try:
-        cs.CriteriaReport.from_dict(data)
+        report = cs.CriteriaReport.from_dict(data)
         rejected = False
     except ValidationError:
         rejected = True
     with tempfile.TemporaryDirectory() as tmp:
-        report = Path(tmp) / "r.json"
-        report.write_text(json.dumps(data))
-        assert run(["report", report]) == (2 if rejected else 0)
+        report_path = Path(tmp) / "r.json"
+        report_path.write_text(json.dumps(data))
+        assert run(["report", report_path]) == (2 if rejected else 0)
+    if not rejected:
+        _assert_typed(report)
+        assert all(type(count) is int for count in report.condition_counts)
+        row = render_report_table([dataclasses.replace(report, label="-")]).splitlines()[2]
+        symbols = {True: "✓", False: "✗", None: "?"}
+        assert row.split()[2:5] == [symbols[data[name]["violated"]]
+                                    for name in cs.CriteriaReport.VERDICT_FIELDS]

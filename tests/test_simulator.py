@@ -29,6 +29,8 @@ def test_state_spec_validation():
         cs.StateSpec.split_photon(1.0)
     with pytest.raises(ValidationError):
         cs.StateSpec.coherent(-0.1, 0.0)
+    with pytest.raises(ValidationError, match="unknown state variant: 'bogus'"):
+        cs.build_photon_distribution(cs.StateSpec("bogus"))
 
 
 @pytest.mark.parametrize("means", [(float("nan"), 0.5), (0.5, float("nan")),

@@ -60,6 +60,8 @@ def test_degenerate_counts():
     assert out["q_a"].defined is False
     assert out["kappa"].defined is False
     assert out["gamma"].defined is False
+    with pytest.raises(ValidationError, match="empty dataset"):
+        bootstrap(cs.CountMatrix(np.zeros((9, 9), dtype=np.int64)), BootstrapConfig())
 
 
 def test_linear_statistic_anchor():
