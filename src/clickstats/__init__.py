@@ -3,11 +3,10 @@
 from .model import (ClickStatsError, CountMatrix, CriteriaReport, DetectorConfig,
                     Estimate, JointClickDistribution, JointPhotonDistribution,
                     UndefinedStatisticError, ValidationError, Verdict, normalize)
-from .simulator import (StateSpec, build_photon_distribution, fock_click_kernel,
+from .simulator import (StateSpec, build_photon_distribution,
                         joint_click_distribution, sample_counts)
 from .criteria import (binomial_q, conditional_nonclassicality_number,
-                       evaluate_all, kappa, kappa_cl_max, min_eigenvalue,
-                       moment_matrix, pearson, pearson_cl_max)
+                       evaluate_all, moment_matrix, statistic)
 from .uncertainty import BootstrapConfig, bootstrap
 
 __all__ = [
@@ -15,11 +14,10 @@ __all__ = [
     "DetectorConfig", "JointPhotonDistribution", "JointClickDistribution",
     "CountMatrix", "CriteriaReport", "Estimate", "Verdict",
     "normalize",
-    "StateSpec", "build_photon_distribution", "fock_click_kernel",
+    "StateSpec", "build_photon_distribution",
     "joint_click_distribution", "sample_counts",
-    "binomial_q", "kappa", "kappa_cl_max", "pearson", "pearson_cl_max",
-    "moment_matrix", "min_eigenvalue", "conditional_nonclassicality_number",
-    "evaluate_all",
+    "statistic", "binomial_q", "moment_matrix",
+    "conditional_nonclassicality_number", "evaluate_all",
     "BootstrapConfig", "bootstrap",
 ]
 

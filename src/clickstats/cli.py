@@ -68,9 +68,14 @@ def _read_text(path) -> str:
         raise ValidationError(f"{path}: not UTF-8 text") from exc
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def _read_json(path):
+    """The file's JSON value; JSON's non-standard NaN and Infinity are errors."""
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_text(path), parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: not JSON: {exc}") from exc
 
@@ -154,13 +159,13 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     criteria.check_threshold(args.threshold)
     counts = read_counts_csv(args.counts)
-    seed = _seed(args)
-    jcd = normalize(counts)
-    errors = bootstrap(counts, BootstrapConfig(replicates=args.replicates, seed=seed))
     meta_path = Path(str(args.counts) + ".meta.json")
     parameters = _read_json(meta_path) if meta_path.exists() else {}
     if not isinstance(parameters, dict):
         raise ValidationError(f"{meta_path}: sidecar must be a JSON object")
+    seed = _seed(args)
+    jcd = normalize(counts)
+    errors = bootstrap(counts, BootstrapConfig(replicates=args.replicates, seed=seed))
     label = args.label or parameters.get("label") or Path(args.counts).stem
     condition_counts = tuple(int(v) for v in counts.counts.sum(axis=1))
     report = criteria.evaluate_all(

@@ -2,7 +2,9 @@
 
 Three tests are evaluated on a joint click distribution:
 
-* conditional correlation: kappa against its classical maximum,
+* conditional correlation: kappa, the fraction of arm B's variance removed
+  by conditioning on arm A's outcome, against its classical maximum (which
+  may be negative),
 * joint correlation: Pearson coefficient gamma against a bound built from the
   binomial Q parameters of the two marginals,
 * higher-order conditional correlation: the minimal eigenvalue of the
@@ -11,20 +13,27 @@ Three tests are evaluated on a joint click distribution:
 A classical state (any mixture of coherent states, any detector response)
 satisfies kappa <= kappa_cl_max, |gamma| <= gamma_cl_max, and frak_n >= 0.
 
+The normally ordered moments of the on-off "click operator" come from the
+factorial-moment rule, exact for the binomial-form statistics produced by
+uniform multiplexing over N bins:
+
+    <:pi^m:> = sum_b  C(b, m) / C(N, m) * c(b).
+
 Every statistic is written once, in ``stack_statistics``, over a stack of
 distributions: the point estimate and all bootstrap replicates run the same
-code. The scalar functions are views of it for a single distribution.
+code. ``statistic(jcd, name)`` reads one of them, named by a key of
+WHY_UNDEFINED, for a single distribution.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .model import (CriteriaReport, Estimate, JointClickDistribution,
                     UndefinedStatisticError, ValidationError, Verdict)
-from .stats import mean, moment_weights, variance
 
 # The statistics of a stack, each with the reason it can be undefined.
 WHY_UNDEFINED = {
@@ -67,6 +76,33 @@ class StackStatistics:
     eigenvalues: np.ndarray
 
 
+def mean(dist, clicks) -> np.ndarray:
+    """Mean click number of distributions whose outcomes, along the last axis,
+    have the click numbers ``clicks``."""
+    return np.asarray(dist, dtype=float) @ clicks
+
+
+def variance(dist, clicks) -> np.ndarray:
+    """Variance about the mean; exactly 0 on a distribution with one outcome,
+    where the sum would read the rounding of a total mass that is not exactly
+    1 (k - mean = k (1 - mass))."""
+    dist = np.asarray(dist, dtype=float)
+    var = ((clicks - mean(dist, clicks)[..., None]) ** 2 * dist).sum(axis=-1)
+    return var * ((dist > 0.0).sum(axis=-1) > 1)
+
+
+@lru_cache(maxsize=None)
+def moment_weights(bins: int, m_max: int) -> np.ndarray:
+    """Read-only matrix W[m, b] = C(b, m) / C(N, m), built once per (bins,
+    m_max) from exact integer combinatorics."""
+    if m_max > bins:
+        raise ValidationError(f"moment order {m_max} exceeds bin count {bins}")
+    w = np.array([[math.comb(b, m) / math.comb(bins, m) for b in range(bins + 1)]
+                  for m in range(m_max + 1)])
+    w.setflags(write=False)
+    return w
+
+
 def _hankel(bins_b: int) -> np.ndarray:
     """Index matrix m + m' of the moment matrix, m, m' = 0..floor(N_B/2)."""
     orders = np.arange(bins_b // 2 + 1)
@@ -105,7 +141,7 @@ def stack_statistics(probs, clicks=None) -> StackStatistics:
     detector. For the same reason c(a) is summed like the other marginal,
     not read from the table's m = 0 column: near saturation Q_A turns on its
     last bit, and a matrix product sums in another order. A marginal on one
-    outcome has variance exactly 0 (see stats.variance) and Q -1, or NaN on
+    outcome has variance exactly 0 (see ``variance``) and Q -1, or NaN on
     outcome 0 or N.
     """
     probs = np.asarray(probs, dtype=float)
@@ -177,34 +213,12 @@ def statistic(jcd: JointClickDistribution, name: str) -> float:
 def binomial_q(marginal: np.ndarray, bins: int) -> float:
     """Binomial Q parameter; negative means sub-binomial (nonclassical) light."""
     marginal = np.asarray(marginal, dtype=float)
-    q = float(_binomial_q(mean(marginal), variance(marginal), bins))
+    clicks = np.arange(marginal.size)
+    q = float(_binomial_q(mean(marginal, clicks), variance(marginal, clicks), bins))
     if math.isnan(q):
         raise UndefinedStatisticError(
             f"degenerate marginal: mean click number outside (0, {bins})")
     return q
-
-
-def kappa(jcd: JointClickDistribution) -> float:
-    """Conditional correlation coefficient: the fraction of B's variance
-    removed by conditioning on A's outcome. Lies in [0, 1]."""
-    return statistic(jcd, "kappa")
-
-
-def kappa_cl_max(jcd: JointClickDistribution) -> float:
-    """Classical upper bound on kappa; may be negative, in which case any
-    physical kappa >= 0 already certifies nonclassicality."""
-    return statistic(jcd, "kappa_cl_max")
-
-
-def pearson(jcd: JointClickDistribution) -> float:
-    """Pearson correlation coefficient of the joint click outcomes."""
-    return statistic(jcd, "gamma")
-
-
-def pearson_cl_max(jcd: JointClickDistribution) -> float:
-    """Classical bound on |gamma|, expressed through the marginal binomial Q
-    parameters alone."""
-    return statistic(jcd, "gamma_cl_max")
 
 
 def conditional_nonclassicality_number(jcd: JointClickDistribution) -> float:
@@ -222,13 +236,6 @@ def moment_matrix(jcd: JointClickDistribution, a: int) -> np.ndarray:
     if np.isnan(moments[0]):
         raise UndefinedStatisticError(f"unsupported condition: c(a={a}) = 0")
     return moments[_hankel(jcd.bins_b)]
-
-
-def min_eigenvalue(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimal eigenvalue and unit-norm eigenvector (the optimal coefficient
-    vector of the higher-order test)."""
-    vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=float))
-    return float(vals[0]), vecs[:, 0]
 
 
 def _as_estimate(value: float, err) -> Estimate:

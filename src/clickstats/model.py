@@ -17,6 +17,7 @@ NORMALIZATION_TOL = 1e-9
 # k R <= 64 (N+1) bounds it at the full grid's: 279 MB at 128 bins, 2.2 GB
 # at 256.
 MAX_BINS = 128
+INT64_MAX = np.iinfo(np.int64).max
 
 
 class ClickStatsError(Exception):
@@ -149,14 +150,16 @@ class CountMatrix:
         counts = np.asarray(self.counts)
         _check_matrix(counts, "counts")
         if not np.issubdtype(counts.dtype, np.integer):
-            if not np.all(counts == np.floor(counts)):
-                raise ValidationError("counts must be integers")
+            raise ValidationError(f"counts must be an integer array, got {counts.dtype}")
         if np.any(counts < 0):
             raise ValidationError("negative count")
+        # only a uint64 cell can exceed int64; checked before the cast wraps it
+        if int(counts.max()) > INT64_MAX:
+            raise ValidationError(f"count {int(counts.max())} exceeds 2^63 - 1")
         object.__setattr__(self, "counts", _as_readonly(counts, np.int64))
         # summed in Python ints: an int64 sum wraps silently
         object.__setattr__(self, "total", sum(self.counts.ravel().tolist()))
-        if self.total > np.iinfo(np.int64).max:
+        if self.total > INT64_MAX:
             raise ValidationError(f"total count {self.total} exceeds 2^63 - 1")
 
     @property

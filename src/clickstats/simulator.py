@@ -124,11 +124,6 @@ def click_kernel_matrix(n_max: int, cfg: DetectorConfig) -> np.ndarray:
     return rows
 
 
-def fock_click_kernel(n: int, cfg: DetectorConfig) -> np.ndarray:
-    """Click-number distribution K(a|n) for an n-photon Fock input."""
-    return click_kernel_matrix(n, cfg)[n]
-
-
 def joint_click_distribution(jpd: JointPhotonDistribution,
                              cfg_a: DetectorConfig,
                              cfg_b: DetectorConfig) -> JointClickDistribution:

@@ -5,9 +5,10 @@ distributions are obtained by exhaustively enumerating every placement of the
 photons into the detector bins and convolving exact per-bin click
 probabilities, or, for coherent light, from the binomial closed form, or
 drawn shot by shot from a Monte-Carlo of the detector. The criteria are
-written out again from their closed forms, and the descriptive
+written out again from their closed forms, the descriptive
 statistics of a joint distribution (marginals, conditionals, covariance,
-summed click mean) from their definitions, so no code from the package is
+summed click mean) from their definitions, and the smallest eigenpair of a
+moment matrix from LAPACK's full eigen-solve, so no code from the package is
 involved.
 """
 import itertools
@@ -191,3 +192,10 @@ def criterion_margins(probs: np.ndarray):
     moments = cond @ weights.T
     eigenvalues = np.linalg.eigvalsh(moments[:, hankel])[:, 0]
     return gamma - gamma_cl_max, kappa_margin, eigenvalues
+
+
+def min_eigenvalue(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimal eigenvalue and unit-norm eigenvector (the optimal coefficient
+    vector of the higher-order test) of a symmetric matrix."""
+    vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=float))
+    return float(vals[0]), vecs[:, 0]

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import clickstats as cs
-from clickstats import stats
 from clickstats.cli import main
-from clickstats.criteria import min_eigenvalue, moment_matrix
+from clickstats.criteria import mean, moment_matrix, moment_weights, variance
+from clickstats.simulator import click_kernel_matrix
 from clickstats.uncertainty import BootstrapConfig, bootstrap
 
 from oracles import (covariance, criterion_margins, enumerate_click_kernel, marginals,
-                     random_click_distribution, tmsv_click_distribution)
+                     min_eigenvalue, random_click_distribution, tmsv_click_distribution)
 
 SP_FRAK_N = (1.0 - math.sqrt(17.0 / 16.0)) / 2.0
 
@@ -36,8 +36,7 @@ def test_criterion_1_kernel_enumeration_oracle():
             for eta in (0.3, 0.7, 1.0):
                 for nu in (0.0, 0.01):
                     oracle = enumerate_click_kernel(n, bins, eta, nu)
-                    kernel = cs.fock_click_kernel(
-                        n, cs.DetectorConfig(bins, eta, nu))
+                    kernel = click_kernel_matrix(n, cs.DetectorConfig(bins, eta, nu))[n]
                     worst = max(worst, float(np.max(np.abs(kernel - oracle))))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-12 and elapsed < 10.0
@@ -52,15 +51,16 @@ def test_criterion_2_moment_identities():
         jcd = cs.JointClickDistribution(random_click_distribution(rng))
         ca, cb = marginals(jcd)
         for dist, n in ((ca, 8), (cb, 8)):
-            e, v = stats.mean(dist), stats.variance(dist)
-            moments = stats.moment_weights(n, 2) @ dist   # <:pi^m:>, m = 0..2
+            clicks = np.arange(n + 1)
+            e, v = mean(dist, clicks), variance(dist, clicks)
+            moments = moment_weights(n, 2) @ dist   # <:pi^m:>, m = 0..2
             lhs = moments[2] - moments[1] ** 2
             rhs = (n * v - e * (n - e)) / (n**2 * (n - 1))
             worst = max(worst, abs(lhs - rhs))
         # <:pi_A pi_B:> = E(ab) / (N_A N_B)
         joint = float(np.arange(9) @ jcd.probs @ np.arange(9)) / 64
-        lhs = 64 * (joint - (stats.moment_weights(8, 1) @ ca)[1]
-                    * (stats.moment_weights(8, 1) @ cb)[1])
+        lhs = 64 * (joint - (moment_weights(8, 1) @ ca)[1]
+                    * (moment_weights(8, 1) @ cb)[1])
         worst = max(worst, abs(lhs - covariance(jcd)))
     ok = worst <= 1e-12
     assert _report(2, f"variance/covariance identities, max err {worst:.2e}", ok)
@@ -69,10 +69,10 @@ def test_criterion_2_moment_identities():
 def test_criterion_3_ideal_split_photon():
     jcd = _exact_jcd(cs.StateSpec.split_photon(2 ** -0.5), eta=1.0, nu=0.0)
     checks = {
-        "kappa": (cs.kappa(jcd), 1.0),
-        "kappa_cl_max": (cs.kappa_cl_max(jcd), -0.75),
-        "gamma": (cs.pearson(jcd), -1.0),
-        "gamma_cl_max": (cs.pearson_cl_max(jcd), 1.0),
+        "kappa": (cs.statistic(jcd, "kappa"), 1.0),
+        "kappa_cl_max": (cs.statistic(jcd, "kappa_cl_max"), -0.75),
+        "gamma": (cs.statistic(jcd, "gamma"), -1.0),
+        "gamma_cl_max": (cs.statistic(jcd, "gamma_cl_max"), 1.0),
         "frak_n": (cs.conditional_nonclassicality_number(jcd), SP_FRAK_N),
     }
     worst = max(abs(got - want) for got, want in checks.values())
@@ -86,8 +86,8 @@ def test_criterion_4_coherent_tightness():
     deviations = [
         abs(cs.binomial_q(ca, 8)),
         abs(cs.binomial_q(cb, 8)),
-        abs(cs.kappa(jcd) - cs.kappa_cl_max(jcd)),
-        abs(cs.pearson(jcd)),
+        abs(cs.statistic(jcd, "kappa") - cs.statistic(jcd, "kappa_cl_max")),
+        abs(cs.statistic(jcd, "gamma")),
         abs(cs.conditional_nonclassicality_number(jcd)),
     ]
     worst = max(deviations)
@@ -103,8 +103,8 @@ def test_criterion_5_tmsv_exact_pattern():
     # the photon numbers 8..12 populate row a = 8, where frak_n's minimum sits
     # (c(8) ~ 1.7e-13). Package and oracle agree to 1e-12.
     jcd = _exact_jcd(cs.StateSpec.tmsv(np.sqrt(0.1)), eta=0.5, nu=1e-4)
-    gamma_margin = cs.pearson(jcd) - cs.pearson_cl_max(jcd)
-    kappa_margin = cs.kappa(jcd) - cs.kappa_cl_max(jcd)
+    gamma_margin = cs.statistic(jcd, "gamma") - cs.statistic(jcd, "gamma_cl_max")
+    kappa_margin = cs.statistic(jcd, "kappa") - cs.statistic(jcd, "kappa_cl_max")
     eig_1 = min_eigenvalue(moment_matrix(jcd, 1))[0]
     frak_n = cs.conditional_nonclassicality_number(jcd)
     oracle_gamma, oracle_kappa, oracle_eigs = criterion_margins(
@@ -121,8 +121,8 @@ def test_criterion_5_tmsv_exact_pattern():
     pdc = []
     for lam2 in (0.25, 0.30):
         jcd = _exact_jcd(cs.StateSpec.tmsv(np.sqrt(lam2)), eta=0.05, nu=1e-4)
-        pdc.append((cs.pearson(jcd) - cs.pearson_cl_max(jcd),
-                    cs.kappa(jcd) - cs.kappa_cl_max(jcd),
+        pdc.append((cs.statistic(jcd, "gamma") - cs.statistic(jcd, "gamma_cl_max"),
+                    cs.statistic(jcd, "kappa") - cs.statistic(jcd, "kappa_cl_max"),
                     *criterion_margins(
                         tmsv_click_distribution(lam2, 8, 0.05, 1e-4))[:2]))
     pdc_ok = all(g > 0.0 and k <= 0.0 and oracle_g > 0.0 and oracle_k <= 0.0
@@ -224,8 +224,8 @@ def test_criterion_9_property_suites():
     ok = True
     for _ in range(500):
         jcd = cs.JointClickDistribution(random_click_distribution(rng))
-        ok &= -1e-12 <= cs.kappa(jcd) <= 1.0 + 1e-12
-        ok &= abs(cs.pearson(jcd)) <= 1.0 + 1e-12
+        ok &= -1e-12 <= cs.statistic(jcd, "kappa") <= 1.0 + 1e-12
+        ok &= abs(cs.statistic(jcd, "gamma")) <= 1.0 + 1e-12
         ok &= abs(jcd.probs.sum() - 1.0) <= 1e-9
         cases += 1
     for _ in range(400):

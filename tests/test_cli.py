@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import tempfile
 import typing
 from pathlib import Path
@@ -197,9 +198,9 @@ def _non_utf8_counts(tmp_path):
     return ["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]
 
 
-def _sidecar_list(tmp_path):
+def _sidecar_text(tmp_path, text):
     path = _counts_file(tmp_path)
-    (tmp_path / "c.csv.meta.json").write_text("[1, 2]")
+    (tmp_path / "c.csv.meta.json").write_text(text)
     return ["analyze", "--counts", path, "--replicates", 10, "--seed", 1,
             "--report-out", tmp_path / "r.json"]
 
@@ -237,7 +238,7 @@ def _set(data, path, value):
 
 @pytest.mark.parametrize("make_argv, message", [
     (_non_utf8_counts, "not UTF-8"),
-    (_sidecar_list, "sidecar must be a JSON object"),
+    (lambda p: _sidecar_text(p, "[1, 2]"), "sidecar must be a JSON object"),
     (lambda p: _report_file(p, lambda d: _without(d, "frak_n")), "malformed report"),
     (lambda p: _report_file(p, lambda d: [d]), "report must be a JSON object"),
     (lambda p: _report_file(p, _without_bins_a), "malformed report"),
@@ -268,18 +269,52 @@ def _set(data, path, value):
      "seed must be int or NoneType, got bool"),
     (lambda p: _report_file(p, lambda d: {**d, "schema_version": True}),
      "unsupported report schema version: True"),
+    (lambda p: _report_file(p, lambda d: _set(d, ("provenance", "condition_counts"),
+                                              [1.5] * 9)),
+     "condition_counts must hold ints"),
+    # strict JSON has no NaN or Infinity, and the program never writes them
+    (lambda p: _sidecar_text(p, '{"seed": NaN}'), "NaN is not strict JSON"),
+    (lambda p: _report_file(p, lambda d: _set(d, ("provenance", "threshold"), math.nan)),
+     "NaN is not strict JSON"),
+    (lambda p: _report_file(p, lambda d: _set(d, ("kappa", "value"), -math.inf)),
+     "-Infinity is not strict JSON"),
 ], ids=["non-utf8-counts", "sidecar-list", "report-missing-field",
         "report-list", "provenance-without-bins_a", "estimate-is-string",
         "stderr-is-string", "count-beyond-int64", "report-value-beyond-float",
         "report-integer-beyond-digit-limit", "report-nested-too-deep",
         "count-sum-beyond-int64", "negative-count", "zero-shots",
         "tmsv-without-lambda2", "verdict-is-string", "bins_a-is-string",
-        "seed-is-bool", "schema-version-is-bool"])
+        "seed-is-bool", "schema-version-is-bool", "condition-count-is-float",
+        "sidecar-seed-is-nan", "report-threshold-is-nan",
+        "report-value-is-infinite"])
 def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, message):
     assert run(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_drawn_seed_is_recorded_and_reproduces(tmp_path):
+    # without --seed, simulate and analyze draw a 32-bit seed and record it;
+    # rerun with that seed, each writes the same bytes
+    drawn, again = tmp_path / "drawn", tmp_path / "again"
+    drawn.mkdir()
+    again.mkdir()
+    simulate = ["simulate", "--state", "tmsv", "--lambda2", 0.1, "--eta", 0.5,
+                "--shots", 10000]
+    assert run([*simulate, "--counts-out", drawn / "c.csv"]) == 0
+    seed = json.loads((drawn / "c.csv.meta.json").read_text())["seed"]
+    assert 0 <= seed < 2**32
+    assert run([*simulate, "--seed", seed, "--counts-out", again / "c.csv"]) == 0
+    for name in ("c.csv", "c.csv.meta.json"):
+        assert (drawn / name).read_bytes() == (again / name).read_bytes()
+
+    analyze = ["analyze", "--counts", drawn / "c.csv", "--replicates", 20]
+    assert run([*analyze, "--report-out", drawn / "r.json"]) == 0
+    seed = json.loads((drawn / "r.json").read_text())["provenance"]["seed"]
+    assert 0 <= seed < 2**32
+    assert run([*analyze, "--seed", seed, "--report-out", again / "r.json"]) == 0
+    assert (drawn / "r.json").read_bytes() == (again / "r.json").read_bytes()
 
 
 def test_usage_error_exit_code():

@@ -5,10 +5,11 @@ import pytest
 
 import clickstats as cs
 from clickstats import criteria
-from clickstats.criteria import min_eigenvalue, moment_matrix
+from clickstats.criteria import moment_matrix
 from clickstats.model import UndefinedStatisticError, ValidationError
 
-from oracles import marginals, poisson_pmf, random_click_distribution
+from oracles import (marginals, min_eigenvalue, poisson_pmf,
+                     random_click_distribution)
 
 SP_FRAK_N = (1.0 - math.sqrt(17.0 / 16.0)) / 2.0
 
@@ -67,70 +68,75 @@ def test_binomial_q_degenerate():
 
 
 def test_kappa_independent():
-    assert cs.kappa(coherent_product_jcd()) == pytest.approx(0.0, abs=1e-10)
+    assert cs.statistic(coherent_product_jcd(), "kappa") == pytest.approx(0.0, abs=1e-10)
 
 
 def test_kappa_ideal_split_photon():
-    assert cs.kappa(ideal_split_photon_jcd()) == pytest.approx(1.0, abs=1e-12)
+    assert cs.statistic(ideal_split_photon_jcd(), "kappa") == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_kappa_no_variability():
     probs = np.zeros((9, 9))
     probs[0, 0] = probs[1, 0] = 0.5
     with pytest.raises(UndefinedStatisticError, match="no variability"):
-        cs.kappa(cs.JointClickDistribution(probs))
+        cs.statistic(cs.JointClickDistribution(probs), "kappa")
 
 
 def test_kappa_cl_max_split_photon():
-    assert cs.kappa_cl_max(ideal_split_photon_jcd()) == pytest.approx(-0.75, abs=1e-12)
+    assert cs.statistic(ideal_split_photon_jcd(), "kappa_cl_max") == pytest.approx(
+        -0.75, abs=1e-12)
 
 
 def test_kappa_tight_for_binomial_conditionals():
     jcd = coherent_product_jcd(mean_a=1.2, mean_b=0.4, eta=0.9)
-    assert cs.kappa(jcd) == pytest.approx(cs.kappa_cl_max(jcd), abs=1e-10)
+    assert cs.statistic(jcd, "kappa") == pytest.approx(
+        cs.statistic(jcd, "kappa_cl_max"), abs=1e-10)
 
 
 def test_kappa_in_unit_interval_random():
     rng = np.random.default_rng(7)
     for _ in range(200):
         jcd = cs.JointClickDistribution(random_click_distribution(rng))
-        k = cs.kappa(jcd)
+        k = cs.statistic(jcd, "kappa")
         assert -1e-12 <= k <= 1.0 + 1e-12
 
 
 def test_pearson_independent():
-    assert cs.pearson(coherent_product_jcd()) == pytest.approx(0.0, abs=1e-12)
+    assert cs.statistic(coherent_product_jcd(), "gamma") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pearson_ideal_split_photon():
-    assert cs.pearson(ideal_split_photon_jcd()) == pytest.approx(-1.0, abs=1e-12)
+    assert cs.statistic(ideal_split_photon_jcd(), "gamma") == pytest.approx(
+        -1.0, abs=1e-12)
 
 
 def test_pearson_tmsv_positive():
-    assert cs.pearson(tmsv_jcd()) > 0.0
+    assert cs.statistic(tmsv_jcd(), "gamma") > 0.0
 
 
 def test_pearson_bounded_random():
     rng = np.random.default_rng(8)
     for _ in range(200):
         jcd = cs.JointClickDistribution(random_click_distribution(rng))
-        assert abs(cs.pearson(jcd)) <= 1.0 + 1e-12
+        assert abs(cs.statistic(jcd, "gamma")) <= 1.0 + 1e-12
 
 
 def test_pearson_cl_max_split_photon():
     jcd = ideal_split_photon_jcd()
-    assert cs.pearson_cl_max(jcd) == pytest.approx(1.0, abs=1e-12)
+    assert cs.statistic(jcd, "gamma_cl_max") == pytest.approx(1.0, abs=1e-12)
     # |gamma| = 1 exactly meets the bound: no violation
-    assert abs(cs.pearson(jcd)) <= cs.pearson_cl_max(jcd) + 1e-12
+    assert abs(cs.statistic(jcd, "gamma")) <= cs.statistic(jcd, "gamma_cl_max") + 1e-12
 
 
 def test_pearson_cl_max_collapses_for_binomial():
-    assert cs.pearson_cl_max(coherent_product_jcd()) == pytest.approx(0.0, abs=1e-5)
+    assert cs.statistic(coherent_product_jcd(), "gamma_cl_max") == pytest.approx(
+        0.0, abs=1e-5)
 
 
 def test_pearson_violation_tmsv():
     jcd = tmsv_jcd(lam2=0.1, eta=0.5)
-    assert cs.pearson(jcd) > cs.pearson_cl_max(jcd)
+    assert cs.statistic(jcd, "gamma") > cs.statistic(jcd, "gamma_cl_max")
 
 
 def test_permutation_symmetry():
@@ -138,9 +144,10 @@ def test_permutation_symmetry():
     for _ in range(50):
         jcd = cs.JointClickDistribution(random_click_distribution(rng))
         swapped = cs.JointClickDistribution(jcd.probs.T)
-        assert cs.pearson(swapped) == pytest.approx(cs.pearson(jcd), abs=1e-12)
-        assert cs.pearson_cl_max(swapped) == pytest.approx(
-            cs.pearson_cl_max(jcd), abs=1e-12)
+        assert cs.statistic(swapped, "gamma") == pytest.approx(
+            cs.statistic(jcd, "gamma"), abs=1e-12)
+        assert cs.statistic(swapped, "gamma_cl_max") == pytest.approx(
+            cs.statistic(jcd, "gamma_cl_max"), abs=1e-12)
 
 
 def test_moment_matrix_split_photon():

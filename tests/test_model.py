@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,8 @@ def test_validate_distribution():
         cs.JointClickDistribution(bad)
     with pytest.raises(ValidationError, match="not normalized"):
         cs.JointClickDistribution(probs * 0.9)
+    with pytest.raises(ValidationError, match="photon probabilities must be a 2-d"):
+        cs.JointPhotonDistribution(np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -87,6 +90,35 @@ def test_distributions_reject_non_finite(bad):
         cs.JointClickDistribution(probs)
     with pytest.raises(ValidationError, match="negative"):
         cs.JointPhotonDistribution(-np.full((2, 2), math.inf))
+
+
+def _cells(dtype, corner):
+    counts = np.zeros((3, 3), dtype=dtype)
+    counts[0, 0], counts[2, 2] = corner, 1
+    return counts
+
+
+@pytest.mark.parametrize("counts, message", [
+    (_cells(float, 1.0), "counts must be an integer array, got float64"),
+    # a cast to int64 would turn 1e30 and inf into -2^63
+    (_cells(float, 1e30), "counts must be an integer array, got float64"),
+    (_cells(float, math.inf), "counts must be an integer array, got float64"),
+    (_cells(bool, True), "counts must be an integer array, got bool"),
+    (_cells(object, 2**70), "counts must be an integer array, got object"),
+    # and 2^63 in a uint64 cell into -2^63
+    (_cells(np.uint64, 2**63), "count 9223372036854775808 exceeds 2^63 - 1"),
+], ids=["float", "float-beyond-int64", "float-inf", "bool", "object",
+        "uint64-beyond-int64"])
+def test_count_matrix_rejects_what_is_no_int64_count(counts, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        cs.CountMatrix(counts)
+
+
+def test_count_matrix_accepts_every_integer_dtype():
+    for dtype in (np.uint8, np.int16, np.int32, np.uint64):
+        counts = cs.CountMatrix(_cells(dtype, 7))
+        assert counts.counts.dtype == np.int64 and counts.total == 8
+    assert cs.CountMatrix(_cells(np.uint64, 2**63 - 2)).total == 2**63 - 1
 
 
 def test_types_are_immutable():

@@ -93,24 +93,24 @@ def test_coherent_truncation_tail():
 
 def test_kernel_vacuum():
     cfg = cs.DetectorConfig(8, 0.7, 0.0)
-    k = cs.fock_click_kernel(0, cfg)
+    k = click_kernel_matrix(0, cfg)[0]
     assert k[0] == pytest.approx(1.0)
     assert np.all(k[1:] == pytest.approx(0.0, abs=1e-15))
 
 
 def test_kernel_single_photon_unit_efficiency():
-    k = cs.fock_click_kernel(1, cs.DetectorConfig(8, 1.0, 0.0))
+    k = click_kernel_matrix(1, cs.DetectorConfig(8, 1.0, 0.0))[1]
     assert k[1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_kernel_two_photons_same_bin():
-    k = cs.fock_click_kernel(2, cs.DetectorConfig(8, 1.0, 0.0))
+    k = click_kernel_matrix(2, cs.DetectorConfig(8, 1.0, 0.0))[2]
     assert k[1] == pytest.approx(1.0 / 8.0, abs=1e-14)
     assert k[2] == pytest.approx(7.0 / 8.0, abs=1e-14)
 
 
 def test_kernel_single_bernoulli():
-    k = cs.fock_click_kernel(1, cs.DetectorConfig(8, 0.5, 0.0))
+    k = click_kernel_matrix(1, cs.DetectorConfig(8, 0.5, 0.0))[1]
     assert k[0] == pytest.approx(0.5, abs=1e-14)
     assert k[1] == pytest.approx(0.5, abs=1e-14)
 
@@ -120,7 +120,7 @@ def test_kernel_single_bernoulli():
 def test_kernel_normalization(eta, nu):
     cfg = cs.DetectorConfig(8, eta, nu)
     for n in range(51):
-        assert cs.fock_click_kernel(n, cfg).sum() == pytest.approx(1.0, abs=1e-12)
+        assert click_kernel_matrix(n, cfg)[n].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bins", [2, 4])
@@ -129,7 +129,7 @@ def test_kernel_matches_enumeration(bins, eta, nu):
     cfg = cs.DetectorConfig(bins, eta, nu)
     for n in range(5):
         oracle = enumerate_click_kernel(n, bins, eta, nu)
-        assert np.max(np.abs(cs.fock_click_kernel(n, cfg) - oracle)) < 1e-12
+        assert np.max(np.abs(click_kernel_matrix(n, cfg)[n] - oracle)) < 1e-12
 
 
 def test_joint_distribution_split_photon():
@@ -192,10 +192,14 @@ def test_kernel_coherent_closed_form_to_max_bins(bins, mean, eta, nu):
 
 
 def test_fock_click_kernel_is_a_kernel_row():
+    # K(a|n), the kernel of an n-photon Fock input, is the last row of the
+    # n-photon matrix and row n of every longer one
     cfg = cs.DetectorConfig(16, 0.4, 1e-3)
-    assert np.array_equal(cs.fock_click_kernel(7, cfg), click_kernel_matrix(7, cfg)[7])
+    kernel = click_kernel_matrix(7, cfg)
+    for n in range(8):
+        assert np.array_equal(click_kernel_matrix(n, cfg)[n], kernel[n])
     with pytest.raises(ValidationError):
-        cs.fock_click_kernel(-1, cfg)
+        click_kernel_matrix(-1, cfg)
 
 
 def test_joint_distribution_has_no_negative_mass():
