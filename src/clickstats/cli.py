@@ -12,12 +12,15 @@ verdict, and full provenance (seed, shots, parameters).
 
 Exit codes: 0 success, 1 usage error, 2 data error (including more than
 model.MAX_BINS bins on an arm, a coherent mean above
-simulator.MAX_COHERENT_MEAN, --lambda2 or --t2 outside (0, 1), a threshold
-that is not finite and positive, and a negative seed).
+simulator.MAX_COHERENT_MEAN, --lambda2 or --t2 outside (0, 1), a --lambda2
+whose photon cut exceeds simulator.MAX_TMSV_CUT, --shots above 2^63 - 1,
+--replicates at or above 2^32, a threshold that is not finite and positive,
+and a negative seed).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -158,21 +161,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     criteria.check_threshold(args.threshold)
+    config = BootstrapConfig(replicates=args.replicates, seed=_seed(args))
     counts = read_counts_csv(args.counts)
     meta_path = Path(str(args.counts) + ".meta.json")
     parameters = _read_json(meta_path) if meta_path.exists() else {}
     if not isinstance(parameters, dict):
         raise ValidationError(f"{meta_path}: sidecar must be a JSON object")
-    seed = _seed(args)
     jcd = normalize(counts)
-    errors = bootstrap(counts, BootstrapConfig(replicates=args.replicates, seed=seed))
-    label = args.label or parameters.get("label") or Path(args.counts).stem
-    condition_counts = tuple(int(v) for v in counts.counts.sum(axis=1))
-    report = criteria.evaluate_all(
-        jcd, errors=errors, threshold=args.threshold,
-        total_shots=counts.total, bootstrap_replicates=args.replicates,
-        seed=seed, label=label, parameters=parameters,
-        condition_counts=condition_counts)
+    errors = bootstrap(counts, config)
+    report = dataclasses.replace(
+        criteria.evaluate_all(jcd, errors=errors, threshold=args.threshold),
+        total_shots=counts.total, bootstrap_replicates=config.replicates,
+        seed=config.seed, parameters=parameters,
+        label=args.label or parameters.get("label") or Path(args.counts).stem,
+        condition_counts=tuple(int(v) for v in counts.counts.sum(axis=1)))
 
     with open(args.report_out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)

@@ -109,7 +109,7 @@ def _hankel(bins_b: int) -> np.ndarray:
     return orders[:, None] + orders[None, :]
 
 
-def _binomial_q(e: np.ndarray, var: np.ndarray, bins: int) -> np.ndarray:
+def _q_parameter(e: np.ndarray, var: np.ndarray, bins: int) -> np.ndarray:
     """Binomial Q of marginals with means ``e`` and variances ``var``; NaN
     where the mean is 0 or N. A marginal on one outcome (variance 0) has a
     mean off that outcome by the rounding of its mass, so on outcome N it
@@ -157,7 +157,7 @@ def stack_statistics(probs, clicks=None) -> StackStatistics:
     supported = ca > 0.0
     mean_a, mean_b = mean(ca, clicks_a), mean(cb, clicks_b)
     var_a, var_b = variance(ca, clicks_a), variance(cb, clicks_b)
-    q_a, q_b = _binomial_q(mean_a, var_a, n_a), _binomial_q(mean_b, var_b, n_b)
+    q_a, q_b = _q_parameter(mean_a, var_a, n_a), _q_parameter(mean_b, var_b, n_b)
 
     # c(a) E(b|a); the conditional mean is 0 on unsupported rows, which carry
     # no weight in the sums below
@@ -210,17 +210,6 @@ def statistic(jcd: JointClickDistribution, name: str) -> float:
     return value
 
 
-def binomial_q(marginal: np.ndarray, bins: int) -> float:
-    """Binomial Q parameter; negative means sub-binomial (nonclassical) light."""
-    marginal = np.asarray(marginal, dtype=float)
-    clicks = np.arange(marginal.size)
-    q = float(_binomial_q(mean(marginal, clicks), variance(marginal, clicks), bins))
-    if math.isnan(q):
-        raise UndefinedStatisticError(
-            f"degenerate marginal: mean click number outside (0, {bins})")
-    return q
-
-
 def conditional_nonclassicality_number(jcd: JointClickDistribution) -> float:
     """Minimum over supported conditions of the smallest moment-matrix
     eigenvalue; negative values certify higher-order conditional
@@ -265,21 +254,17 @@ def check_threshold(threshold: float) -> None:
         raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
 
 
-def evaluate_all(jcd: JointClickDistribution,
-                 errors: dict | None = None,
-                 threshold: float = 3.0,
-                 total_shots: int | None = None,
-                 bootstrap_replicates: int | None = None,
-                 seed: int | None = None,
-                 label: str = "",
-                 parameters: dict | None = None,
-                 condition_counts: tuple = ()) -> CriteriaReport:
-    """Assemble the full report: statistics, bounds, errors, and verdicts.
+def evaluate_all(jcd: JointClickDistribution, errors: dict | None = None,
+                 threshold: float = 3.0) -> CriteriaReport:
+    """Statistics, bounds, errors, and verdicts of one distribution.
 
     ``errors`` maps statistic names to bootstrap results (see
     clickstats.uncertainty); without it verdicts reduce to sign checks on the
     exact distribution. ``threshold``, in standard errors, must be finite and
-    positive.
+    positive. The report's provenance (shots, replicates, seed, label,
+    parameters, condition counts) is left at its defaults: it describes the
+    run, not the statistics, and a caller attaches it with
+    ``dataclasses.replace``.
     """
     check_threshold(threshold)
     point = stack_statistics(jcd.probs)
@@ -296,11 +281,5 @@ def evaluate_all(jcd: JointClickDistribution,
         frak_n_test=_as_verdict(-values["frak_n"], errors.get("frak_n"), threshold),
         bins_a=jcd.bins_a,
         bins_b=jcd.bins_b,
-        total_shots=total_shots,
-        bootstrap_replicates=bootstrap_replicates,
-        seed=seed,
         threshold=threshold,
-        label=label,
-        condition_counts=condition_counts,
-        parameters=parameters or {},
     )

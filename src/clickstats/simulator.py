@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (CountMatrix, DetectorConfig, JointClickDistribution,
+from .model import (INT64_MAX, CountMatrix, DetectorConfig, JointClickDistribution,
                     JointPhotonDistribution, ValidationError)
 
 TAIL_MASS = 1e-12
@@ -25,13 +25,18 @@ TAIL_MASS = 1e-12
 # Poisson series starts from, stays a normal double (it turns subnormal near
 # 708 and underflows to 0 near 745, where the series never reaches its tail).
 MAX_COHERENT_MEAN = 700.0
+# Largest TMSV photon cut: the photon matrix is dense, (cut+1)^2 doubles, which
+# is 134 MB at the bound. lambda^2 = 0.99 cuts at 2750; above about 0.99328 the
+# cut exceeds the bound and the state is rejected before anything is allocated.
+MAX_TMSV_CUT = 4096
 
 
 @dataclass(frozen=True)
 class StateSpec:
     """Parameterization of a two-mode input state.
 
-    variant is one of "coherent", "tmsv", "split_photon".
+    variant is one of "coherent", "tmsv", "split_photon"; each checks its own
+    parameters on construction.
     """
 
     variant: str
@@ -40,24 +45,46 @@ class StateSpec:
     squeezing: float = 0.0   # lambda for tmsv, in (0, 1)
     splitting: float = 0.0   # t for split_photon, in (0, 1)
 
+    def __post_init__(self) -> None:
+        if self.variant == "coherent":
+            if not all(0.0 <= m <= MAX_COHERENT_MEAN for m in (self.mean_a, self.mean_b)):
+                raise ValidationError(
+                    f"coherent mean photon numbers must be finite and in [0, "
+                    f"{MAX_COHERENT_MEAN}], got {self.mean_a}, {self.mean_b}")
+        elif self.variant == "tmsv":
+            if not 0.0 < self.squeezing < 1.0:
+                raise ValidationError(
+                    f"tmsv squeezing must be in (0, 1), got {self.squeezing}")
+            if (cut := _tmsv_cut(self.squeezing)) > MAX_TMSV_CUT:
+                raise ValidationError(
+                    f"tmsv photon cut {cut} exceeds {MAX_TMSV_CUT}: "
+                    f"lambda^2 = {self.squeezing ** 2!r} is too close to 1")
+        elif self.variant == "split_photon":
+            if not 0.0 < self.splitting < 1.0:
+                raise ValidationError(
+                    f"splitting amplitude must be in (0, 1), got {self.splitting}")
+        else:
+            raise ValidationError(f"unknown state variant: {self.variant!r}")
+
     @classmethod
     def coherent(cls, mean_a: float, mean_b: float) -> "StateSpec":
-        if not all(0.0 <= mean <= MAX_COHERENT_MEAN for mean in (mean_a, mean_b)):
-            raise ValidationError("coherent mean photon numbers must be finite and in "
-                                  f"[0, {MAX_COHERENT_MEAN}], got {mean_a}, {mean_b}")
         return cls("coherent", mean_a=mean_a, mean_b=mean_b)
 
     @classmethod
     def tmsv(cls, lam: float) -> "StateSpec":
-        if not 0.0 < lam < 1.0:
-            raise ValidationError(f"tmsv squeezing must be in (0, 1), got {lam}")
         return cls("tmsv", squeezing=lam)
 
     @classmethod
     def split_photon(cls, t: float) -> "StateSpec":
-        if not 0.0 < t < 1.0:
-            raise ValidationError(f"splitting amplitude must be in (0, 1), got {t}")
         return cls("split_photon", splitting=t)
+
+
+def _tmsv_cut(lam: float) -> int:
+    """Largest photon number kept of a TMSV: the geometric tail beyond it,
+    lambda^(2 (n_max+1)), is at most TAIL_MASS. lambda^2 underflows to 0 only
+    on a state that is vacuum to rounding."""
+    lam2 = lam ** 2
+    return 1 if lam2 == 0.0 else max(1, math.ceil(math.log(TAIL_MASS) / math.log(lam2)))
 
 
 def _poisson_truncated(mean: float) -> np.ndarray:
@@ -85,18 +112,14 @@ def build_photon_distribution(spec: StateSpec) -> JointPhotonDistribution:
                                        label=f"coherent({spec.mean_a}, {spec.mean_b})")
     if spec.variant == "tmsv":
         lam2 = spec.squeezing ** 2
-        # geometric tail: mass beyond n_max is lam2^(n_max+1)
-        n_max = max(1, math.ceil(math.log(TAIL_MASS) / math.log(lam2)))
-        weights = (1.0 - lam2) * lam2 ** np.arange(n_max + 1)
+        weights = (1.0 - lam2) * lam2 ** np.arange(_tmsv_cut(spec.squeezing) + 1)
         probs = np.diag(weights / weights.sum())
         return JointPhotonDistribution(probs, label=f"tmsv({spec.squeezing})")
-    if spec.variant == "split_photon":
-        t2 = spec.splitting ** 2
-        probs = np.zeros((2, 2))
-        probs[1, 0] = t2
-        probs[0, 1] = 1.0 - t2
-        return JointPhotonDistribution(probs, label=f"split_photon({spec.splitting})")
-    raise ValidationError(f"unknown state variant: {spec.variant!r}")
+    t2 = spec.splitting ** 2
+    probs = np.zeros((2, 2))
+    probs[1, 0] = t2
+    probs[0, 1] = 1.0 - t2
+    return JointPhotonDistribution(probs, label=f"split_photon({spec.splitting})")
 
 
 def click_kernel_matrix(n_max: int, cfg: DetectorConfig) -> np.ndarray:
@@ -139,6 +162,8 @@ def sample_counts(jcd: JointClickDistribution, shots: int, seed: int) -> CountMa
     """Multinomial draw of `shots` outcomes from the exact distribution."""
     if shots < 1:
         raise ValidationError("shots must be >= 1")
+    if shots > INT64_MAX:   # the bound of CountMatrix.total
+        raise ValidationError(f"shots {shots} exceeds 2^63 - 1")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -64,6 +64,8 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         if self.replicates < 2:
             raise ValidationError("bootstrap needs at least 2 replicates")
+        if self.replicates >= 2**32:   # a spawn index is one 32-bit word
+            raise ValidationError(f"replicates must be below 2^32, got {self.replicates}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         unknown = set(self.statistics) - set(STATISTICS)

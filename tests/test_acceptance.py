@@ -82,10 +82,9 @@ def test_criterion_3_ideal_split_photon():
 
 def test_criterion_4_coherent_tightness():
     jcd = _exact_jcd(cs.StateSpec.coherent(0.4, 0.7), eta=0.9, nu=0.0)
-    ca, cb = marginals(jcd)
     deviations = [
-        abs(cs.binomial_q(ca, 8)),
-        abs(cs.binomial_q(cb, 8)),
+        abs(cs.statistic(jcd, "q_a")),
+        abs(cs.statistic(jcd, "q_b")),
         abs(cs.statistic(jcd, "kappa") - cs.statistic(jcd, "kappa_cl_max")),
         abs(cs.statistic(jcd, "gamma")),
         abs(cs.conditional_nonclassicality_number(jcd)),

@@ -161,6 +161,22 @@ def test_threshold_not_finite_and_positive_is_data_error(tmp_path, capsys, monke
     assert not report.exists()
 
 
+@pytest.mark.parametrize("replicates", [2**32, 10**14, 10**20])
+def test_replicates_beyond_spawn_index_is_data_error(tmp_path, capsys, monkeypatch,
+                                                     replicates):
+    # 10**14 died allocating the spawn indices and 10**20 in numpy's size
+    # check; the bound is checked before the bootstrap runs
+    def no_bootstrap(*args):
+        raise AssertionError("bootstrap ran before the replicates were checked")
+    monkeypatch.setattr(cli, "bootstrap", no_bootstrap)
+    report = tmp_path / "r.json"
+    code = run(["analyze", "--counts", _counts_file(tmp_path), "--replicates", replicates,
+                "--seed", 1, "--report-out", report])
+    assert code == 2
+    assert f"replicates must be below 2^32, got {replicates}" in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("state, flag, value", [
     ("tmsv", "--lambda2", "-0.5"), ("tmsv", "--lambda2", "1"),
     ("tmsv", "--lambda2", "nan"), ("split-photon", "--t2", "-0.5"),
@@ -278,6 +294,12 @@ def _set(data, path, value):
      "NaN is not strict JSON"),
     (lambda p: _report_file(p, lambda d: _set(d, ("kappa", "value"), -math.inf)),
      "-Infinity is not strict JSON"),
+    # a 2.8e14-photon cut died allocating the photon matrix
+    (lambda p: _simulate(p, "--state", "tmsv", "--lambda2", "0.9999999999999",
+                         "--shots", 10), "photon cut"),
+    # rng.multinomial overflowed
+    (lambda p: _simulate(p, "--state", "coherent", "--mean-a", 0.5, "--shots", 2**63),
+     "shots 9223372036854775808 exceeds 2^63 - 1"),
 ], ids=["non-utf8-counts", "sidecar-list", "report-missing-field",
         "report-list", "provenance-without-bins_a", "estimate-is-string",
         "stderr-is-string", "count-beyond-int64", "report-value-beyond-float",
@@ -286,7 +308,7 @@ def _set(data, path, value):
         "tmsv-without-lambda2", "verdict-is-string", "bins_a-is-string",
         "seed-is-bool", "schema-version-is-bool", "condition-count-is-float",
         "sidecar-seed-is-nan", "report-threshold-is-nan",
-        "report-value-is-infinite"])
+        "report-value-is-infinite", "tmsv-cut-beyond-bound", "shots-beyond-int64"])
 def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, message):
     assert run(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -43,28 +43,34 @@ def classical_mixture_jcd(rng, components=3):
     return cs.JointClickDistribution(probs / probs.sum())
 
 
+def product_jcd(ca, cb):
+    """The product of two marginals, whose q_a and q_b are theirs."""
+    return cs.JointClickDistribution(np.outer(ca, cb))
+
+
 def test_binomial_q_binomial_marginal():
-    ca, cb = marginals(coherent_product_jcd())
-    assert cs.binomial_q(ca, 8) == pytest.approx(0.0, abs=1e-10)
-    assert cs.binomial_q(cb, 8) == pytest.approx(0.0, abs=1e-10)
+    jcd = product_jcd(*marginals(coherent_product_jcd()))
+    assert cs.statistic(jcd, "q_a") == pytest.approx(0.0, abs=1e-10)
+    assert cs.statistic(jcd, "q_b") == pytest.approx(0.0, abs=1e-10)
 
 
 def test_binomial_q_single_photon():
     marginal = np.zeros(9)
     marginal[0] = marginal[1] = 0.5  # single photon, eta = 0.5
-    assert cs.binomial_q(marginal, 8) == pytest.approx(-7.0 / 15.0, abs=1e-12)
+    jcd = product_jcd(marginal, marginal)
+    assert cs.statistic(jcd, "q_a") == pytest.approx(-7.0 / 15.0, abs=1e-12)
 
 
 def test_binomial_q_thermal_super_binomial():
     ca, _ = marginals(tmsv_jcd())
-    assert cs.binomial_q(ca, 8) > 0.0
+    assert cs.statistic(product_jcd(ca, ca), "q_a") > 0.0
 
 
 def test_binomial_q_degenerate():
     marginal = np.zeros(9)
     marginal[0] = 1.0
     with pytest.raises(UndefinedStatisticError, match="degenerate marginal"):
-        cs.binomial_q(marginal, 8)
+        cs.statistic(product_jcd(marginal, marginal), "q_a")
 
 
 def test_kappa_independent():

@@ -150,7 +150,7 @@ def test_report_round_trip():
     jcd = cs.joint_click_distribution(
         cs.build_photon_distribution(cs.StateSpec.split_photon(np.sqrt(0.5))),
         cfg, cfg)
-    report = cs.evaluate_all(jcd, label="sp", total_shots=100, seed=3)
+    report = dataclasses.replace(cs.evaluate_all(jcd), label="sp", total_shots=100, seed=3)
     again = cs.CriteriaReport.from_dict(report.to_dict())
     assert again.kappa.value == report.kappa.value
     assert again.gamma_test.violated == report.gamma_test.violated

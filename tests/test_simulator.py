@@ -14,7 +14,8 @@ from scipy import stats as sps
 
 import clickstats as cs
 from clickstats.model import MAX_BINS, ValidationError
-from clickstats.simulator import MAX_COHERENT_MEAN, click_kernel_matrix
+from clickstats.simulator import (MAX_COHERENT_MEAN, MAX_TMSV_CUT, _tmsv_cut,
+                                  click_kernel_matrix)
 
 from oracles import (coherent_click_marginal, enumerate_click_kernel, poisson_pmf,
                      sample_counts_physical)
@@ -31,6 +32,32 @@ def test_state_spec_validation():
         cs.StateSpec.coherent(-0.1, 0.0)
     with pytest.raises(ValidationError, match="unknown state variant: 'bogus'"):
         cs.build_photon_distribution(cs.StateSpec("bogus"))
+
+
+@pytest.mark.parametrize("make_spec, message", [
+    # the Poisson series of a mean of 1000 starts from exp(-1000) == 0 and hung
+    (lambda: cs.StateSpec("coherent", mean_a=1000.0), "700"),
+    # squeezing 0 reached math.log(0.0)
+    (lambda: cs.StateSpec("tmsv"), "tmsv squeezing must be in \\(0, 1\\), got 0.0"),
+    (lambda: cs.StateSpec("tmsv", squeezing=1.5), "tmsv squeezing"),
+    (lambda: cs.StateSpec("split_photon"), "splitting amplitude must be in"),
+], ids=["coherent-mean-1000", "tmsv-default", "tmsv-squeezing-1.5",
+        "split-photon-default"])
+def test_state_spec_checks_its_variant_on_construction(make_spec, message, deadline):
+    with pytest.raises(ValidationError, match=message):
+        make_spec()
+
+
+def test_tmsv_photon_cut_bound():
+    # rejected on construction, before the dense (cut+1)^2 photon matrix
+    for lam2 in (0.995, 0.9999999999999):
+        with pytest.raises(ValidationError, match=f"photon cut .* exceeds {MAX_TMSV_CUT}"):
+            cs.StateSpec.tmsv(np.sqrt(lam2))
+    spec = cs.StateSpec.tmsv(np.sqrt(0.99))   # constructed only, not built
+    assert _tmsv_cut(spec.squeezing) == 2750 <= MAX_TMSV_CUT
+    # lambda^2 underflows to 0, where the cut's logarithm is undefined
+    jpd = cs.build_photon_distribution(cs.StateSpec.tmsv(1e-200))
+    assert jpd.probs[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("means", [(float("nan"), 0.5), (0.5, float("nan")),
@@ -56,6 +83,14 @@ def test_sample_counts_rejects_negative_seed():
     jcd = cs.JointClickDistribution(np.full((3, 3), 1.0 / 9.0))
     with pytest.raises(ValidationError, match="seed"):
         cs.sample_counts(jcd, 10, -1)
+
+
+def test_sample_counts_shots_bound():
+    # the bound of CountMatrix.total; rng.multinomial overflowed above it
+    jcd = cs.JointClickDistribution(np.full((3, 3), 1.0 / 9.0))
+    with pytest.raises(ValidationError, match="shots 9223372036854775808 exceeds 2\\^63 - 1"):
+        cs.sample_counts(jcd, 2**63, 1)
+    assert cs.sample_counts(jcd, 2**63 - 1, 1).total == 2**63 - 1
 
 
 def test_split_photon_distribution():

@@ -31,6 +31,10 @@ def test_config_validation():
         BootstrapConfig(statistics=("no_such_stat",))
     with pytest.raises(ValidationError, match="seed"):
         BootstrapConfig(seed=-1)
+    # _child_states mixes each spawn index as one 32-bit word
+    with pytest.raises(ValidationError, match="replicates must be below 2\\^32"):
+        BootstrapConfig(replicates=2**32)
+    assert BootstrapConfig(replicates=2**32 - 1).replicates == 2**32 - 1
 
 
 @pytest.mark.parametrize("replicates", [1, 2, CHUNK + 1])
