@@ -5,8 +5,7 @@ from .model import (ClickStatsError, CountMatrix, CriteriaReport, DetectorConfig
                     UndefinedStatisticError, ValidationError, Verdict, normalize)
 from .simulator import (StateSpec, build_photon_distribution,
                         joint_click_distribution, sample_counts)
-from .criteria import (conditional_nonclassicality_number, evaluate_all,
-                       moment_matrix, statistic)
+from .criteria import evaluate_all, moment_matrix, statistic
 from .uncertainty import BootstrapConfig, bootstrap
 
 __all__ = [
@@ -16,8 +15,7 @@ __all__ = [
     "normalize",
     "StateSpec", "build_photon_distribution",
     "joint_click_distribution", "sample_counts",
-    "statistic", "moment_matrix",
-    "conditional_nonclassicality_number", "evaluate_all",
+    "statistic", "moment_matrix", "evaluate_all",
     "BootstrapConfig", "bootstrap",
 ]
 

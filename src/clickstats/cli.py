@@ -22,15 +22,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import criteria
-from .model import (CountMatrix, CriteriaReport, DetectorConfig, JointClickDistribution,
-                    ValidationError, normalize)
-from .simulator import (StateSpec, build_photon_distribution,
+from .model import CountMatrix, CriteriaReport, DetectorConfig, ValidationError, normalize
+from .simulator import (StateSpec, build_photon_distribution, check_sampling,
                         joint_click_distribution, sample_counts)
 from .uncertainty import BootstrapConfig, bootstrap
 
@@ -42,18 +42,16 @@ EXIT_DATA = 2
 VERDICT_SYMBOLS = {True: "✓", False: "✗", None: "?"}
 
 
+def _write_csv(path, matrix: np.ndarray) -> None:
+    """The counts CSV layout, for int counts or float probabilities."""
+    with open(path, "w") as fh:
+        fh.write(f"# bins_a={matrix.shape[0] - 1} bins_b={matrix.shape[1] - 1}\n")
+        for row in matrix.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
 def write_counts_csv(path, counts: CountMatrix) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# bins_a={counts.bins_a} bins_b={counts.bins_b}\n")
-        for row in counts.counts:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
-
-
-def write_distribution_csv(path, jcd: JointClickDistribution) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# bins_a={jcd.bins_a} bins_b={jcd.bins_b}\n")
-        for row in jcd.probs:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path, counts.counts)
 
 
 def _parse_header(line: str, path) -> tuple[int, int]:
@@ -71,14 +69,17 @@ def _read_text(path) -> str:
         raise ValidationError(f"{path}: not UTF-8 text") from exc
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not strict JSON")
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not strict JSON")
+    return value
 
 
 def _read_json(path):
-    """The file's JSON value; JSON's non-standard NaN and Infinity are errors."""
+    """The file's JSON value; JSON's non-standard NaN and Infinity, and a
+    number beyond the float range, are errors."""
     try:
-        return json.loads(_read_text(path), parse_constant=_reject_constant)
+        return json.loads(_read_text(path), parse_constant=_finite, parse_float=_finite)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: not JSON: {exc}") from exc
 
@@ -129,6 +130,7 @@ def _state_spec(args) -> StateSpec:
 
 def cmd_simulate(args) -> int:
     seed = _seed(args)
+    check_sampling(args.shots, seed)
     spec = _state_spec(args)
     cfg_a = DetectorConfig(bins=args.bins, efficiency=args.eta, dark_click=args.nu)
     cfg_b = DetectorConfig(
@@ -142,7 +144,7 @@ def cmd_simulate(args) -> int:
 
     write_counts_csv(args.counts_out, counts)
     if args.exact_out:
-        write_distribution_csv(args.exact_out, jcd)
+        _write_csv(args.exact_out, jcd.probs)
     meta = {
         "state": args.state,
         "label": jpd.label,
@@ -154,7 +156,7 @@ def cmd_simulate(args) -> int:
                        "nu": cfg_b.dark_click},
     }
     with open(str(args.counts_out) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(meta, fh, indent=2, allow_nan=False)
     print(f"wrote {args.counts_out} ({args.shots} shots, seed {seed})")
     return EXIT_OK
 
@@ -165,8 +167,9 @@ def cmd_analyze(args) -> int:
     counts = read_counts_csv(args.counts)
     meta_path = Path(str(args.counts) + ".meta.json")
     parameters = _read_json(meta_path) if meta_path.exists() else {}
-    if not isinstance(parameters, dict):
-        raise ValidationError(f"{meta_path}: sidecar must be a JSON object")
+    if not isinstance(parameters, dict) or type(parameters.get("label", "")) is not str:
+        raise ValidationError(f"{meta_path}: sidecar must be a JSON object whose "
+                              f"label, if any, is a string")
     jcd = normalize(counts)
     errors = bootstrap(counts, config)
     report = dataclasses.replace(
@@ -177,7 +180,7 @@ def cmd_analyze(args) -> int:
         condition_counts=tuple(int(v) for v in counts.counts.sum(axis=1)))
 
     with open(args.report_out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
     if args.plot_data:
         _write_plot_data(args.plot_data, report)
     print(f"wrote {args.report_out}")

@@ -211,9 +211,9 @@ def statistic(jcd: JointClickDistribution, name: str) -> float:
 
 
 def conditional_nonclassicality_number(jcd: JointClickDistribution) -> float:
-    """Minimum over supported conditions of the smallest moment-matrix
-    eigenvalue; negative values certify higher-order conditional
-    nonclassicality."""
+    """𝔑, as its public reader ``statistic(jcd, "frak_n")`` gives it. Kept
+    only as a hook: the pipeline benchmark's tracer (pipebench/tracer.py)
+    patches this name."""
     return statistic(jcd, "frak_n")
 
 

@@ -141,7 +141,7 @@ class JointClickDistribution:
 
 @dataclass(frozen=True)
 class CountMatrix:
-    """Raw coincidence counts C(a, b) and their ``total``, at most 2^63 - 1."""
+    """Raw coincidence counts C(a, b) and their ``total``, in [1, 2^63 - 1]."""
 
     counts: np.ndarray
     total: int = field(init=False, repr=False, compare=False)
@@ -153,14 +153,14 @@ class CountMatrix:
             raise ValidationError(f"counts must be an integer array, got {counts.dtype}")
         if np.any(counts < 0):
             raise ValidationError("negative count")
-        # only a uint64 cell can exceed int64; checked before the cast wraps it
-        if int(counts.max()) > INT64_MAX:
-            raise ValidationError(f"count {int(counts.max())} exceeds 2^63 - 1")
-        object.__setattr__(self, "counts", _as_readonly(counts, np.int64))
-        # summed in Python ints: an int64 sum wraps silently
-        object.__setattr__(self, "total", sum(self.counts.ravel().tolist()))
+        # summed in Python ints, before the int64 cast: an int64 sum and the
+        # cast of a uint64 cell wrap silently; no cell exceeds the total
+        object.__setattr__(self, "total", sum(counts.ravel().tolist()))
+        if self.total == 0:
+            raise ValidationError("empty dataset: total count is zero")
         if self.total > INT64_MAX:
             raise ValidationError(f"total count {self.total} exceeds 2^63 - 1")
+        object.__setattr__(self, "counts", _as_readonly(counts, np.int64))
 
     @property
     def bins_a(self) -> int:
@@ -173,10 +173,7 @@ class CountMatrix:
 
 def normalize(counts: CountMatrix) -> JointClickDistribution:
     """Normalize raw counts to the joint click probabilities C(a,b)/M."""
-    total = counts.total
-    if total < 1:
-        raise ValidationError("empty dataset: total count is zero")
-    return JointClickDistribution(counts.counts / total)
+    return JointClickDistribution(counts.counts / counts.total)
 
 
 @dataclass(frozen=True, slots=True)

@@ -89,8 +89,6 @@ def _tmsv_cut(lam: float) -> int:
 
 def _poisson_truncated(mean: float) -> np.ndarray:
     """Poisson pmf truncated so that the discarded tail mass is < TAIL_MASS."""
-    if mean == 0.0:
-        return np.array([1.0])
     terms = [math.exp(-mean)]
     cum = terms[0]
     n = 0
@@ -158,14 +156,19 @@ def joint_click_distribution(jpd: JointPhotonDistribution,
     return JointClickDistribution(k_a.T @ jpd.probs @ k_b)
 
 
-def sample_counts(jcd: JointClickDistribution, shots: int, seed: int) -> CountMatrix:
-    """Multinomial draw of `shots` outcomes from the exact distribution."""
+def check_sampling(shots: int, seed: int) -> None:
+    """1 to 2^63 - 1 shots (the bounds of CountMatrix.total) and a seed >= 0."""
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    if shots > INT64_MAX:   # the bound of CountMatrix.total
+    if shots > INT64_MAX:
         raise ValidationError(f"shots {shots} exceeds 2^63 - 1")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
+def sample_counts(jcd: JointClickDistribution, shots: int, seed: int) -> CountMatrix:
+    """Multinomial draw of `shots` outcomes from the exact distribution."""
+    check_sampling(shots, seed)
     rng = np.random.default_rng(seed)
     flat = rng.multinomial(shots, jcd.probs.ravel() / jcd.probs.sum())
     return CountMatrix(flat.reshape(jcd.probs.shape))

@@ -146,8 +146,6 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
     from the replicates on which it is undefined (NaN).
     """
     total = counts.total
-    if total < 1:
-        raise ValidationError("empty dataset: total count is zero")
     # the support grid: rows and columns with a count, and always the last
     keep_a, keep_b = counts.counts.any(axis=1), counts.counts.any(axis=0)
     keep_a[-1] = keep_b[-1] = True

@@ -73,7 +73,7 @@ def test_criterion_3_ideal_split_photon():
         "kappa_cl_max": (cs.statistic(jcd, "kappa_cl_max"), -0.75),
         "gamma": (cs.statistic(jcd, "gamma"), -1.0),
         "gamma_cl_max": (cs.statistic(jcd, "gamma_cl_max"), 1.0),
-        "frak_n": (cs.conditional_nonclassicality_number(jcd), SP_FRAK_N),
+        "frak_n": (cs.statistic(jcd, "frak_n"), SP_FRAK_N),
     }
     worst = max(abs(got - want) for got, want in checks.values())
     ok = worst <= 1e-10
@@ -87,7 +87,7 @@ def test_criterion_4_coherent_tightness():
         abs(cs.statistic(jcd, "q_b")),
         abs(cs.statistic(jcd, "kappa") - cs.statistic(jcd, "kappa_cl_max")),
         abs(cs.statistic(jcd, "gamma")),
-        abs(cs.conditional_nonclassicality_number(jcd)),
+        abs(cs.statistic(jcd, "frak_n")),
     ]
     worst = max(deviations)
     ok = worst <= 1e-10
@@ -105,7 +105,7 @@ def test_criterion_5_tmsv_exact_pattern():
     gamma_margin = cs.statistic(jcd, "gamma") - cs.statistic(jcd, "gamma_cl_max")
     kappa_margin = cs.statistic(jcd, "kappa") - cs.statistic(jcd, "kappa_cl_max")
     eig_1 = min_eigenvalue(moment_matrix(jcd, 1))[0]
-    frak_n = cs.conditional_nonclassicality_number(jcd)
+    frak_n = cs.statistic(jcd, "frak_n")
     oracle_gamma, oracle_kappa, oracle_eigs = criterion_margins(
         tmsv_click_distribution(0.1, 8, 0.5, 1e-4, n_max=12))
     tmsv_ok = (gamma_margin > 0.0
@@ -243,7 +243,7 @@ def test_criterion_9_property_suites():
                 rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)))
             probs += w * cs.joint_click_distribution(jpd, cfg, cfg).probs
         mixture = cs.JointClickDistribution(probs / probs.sum())
-        ok &= cs.conditional_nonclassicality_number(mixture) >= -1e-10
+        ok &= cs.statistic(mixture, "frak_n") >= -1e-10
         cases += 1
     ok = ok and cases >= 1000
     assert _report(9, f"property suites on {cases} randomized cases", bool(ok))

@@ -177,6 +177,39 @@ def test_replicates_beyond_spawn_index_is_data_error(tmp_path, capsys, monkeypat
     assert not report.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--shots", 0, "--seed", 1), "shots must be >= 1"),
+    (("--shots", 2**63, "--seed", 1), "shots 9223372036854775808 exceeds 2^63 - 1"),
+    (("--shots", 10, "--seed", -1), "seed must be >= 0, got -1"),
+], ids=["zero-shots", "shots-beyond-int64", "negative-seed"])
+def test_sampling_is_checked_before_the_exact_distribution(tmp_path, capsys, monkeypatch,
+                                                           flags, message):
+    # each reached build_photon_distribution and the click kernel first
+    def no_build(*args):
+        raise AssertionError("the exact distribution was built before the sampling check")
+    monkeypatch.setattr(cli, "build_photon_distribution", no_build)
+    code = run(["simulate", "--state", "coherent", "--mean-a", 0.5, *flags,
+                "--counts-out", tmp_path / "c.csv"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_exact_out_round_trip(tmp_path):
+    # the exact distribution, in the counts layout, reads back bit for bit
+    exact = tmp_path / "exact.csv"
+    assert run(["simulate", "--state", "tmsv", "--lambda2", 0.3, "--eta", 0.5,
+                "--nu", 1e-4, "--bins", 8, "--bins-b", 4, "--shots", 100, "--seed", 1,
+                "--counts-out", tmp_path / "c.csv", "--exact-out", exact]) == 0
+    header, *rows = exact.read_text().splitlines()
+    assert header == "# bins_a=8 bins_b=4"
+    probs = np.array([[float(v) for v in row.split(",")] for row in rows])
+    jpd = cs.build_photon_distribution(cs.StateSpec.tmsv(float(np.sqrt(0.3))))
+    expected = cs.joint_click_distribution(jpd, cs.DetectorConfig(8, 0.5, 1e-4),
+                                           cs.DetectorConfig(4, 0.5, 1e-4)).probs
+    assert probs.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("state, flag, value", [
     ("tmsv", "--lambda2", "-0.5"), ("tmsv", "--lambda2", "1"),
     ("tmsv", "--lambda2", "nan"), ("split-photon", "--t2", "-0.5"),
@@ -225,6 +258,14 @@ def _counts_text(tmp_path, text):
     path = tmp_path / "c.csv"
     path.write_text(text)
     return ["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]
+
+
+def _report_literal(tmp_path, path, literal):
+    """A valid report with the value at ``path`` written as the JSON text
+    ``literal``, such as a number json.dumps cannot produce."""
+    argv = _report_file(tmp_path, lambda d: _set(d, path, "<literal>"))
+    argv[1].write_text(argv[1].read_text().replace('"<literal>"', literal))
+    return argv
 
 
 def _simulate(tmp_path, *flags):
@@ -300,6 +341,18 @@ def _set(data, path, value):
     # rng.multinomial overflowed
     (lambda p: _simulate(p, "--state", "coherent", "--mean-a", 0.5, "--shots", 2**63),
      "shots 9223372036854775808 exceeds 2^63 - 1"),
+    # a number beyond the float range was read as inf: a sidecar's gave a
+    # report that `clickstats report` rejects, and a report's rendered as inf
+    (lambda p: _sidecar_text(p, '{"gain": 1e999}'), "1e999 is not strict JSON"),
+    (lambda p: _report_literal(p, ("frak_n", "value"), "1e999"),
+     "1e999 is not strict JSON"),
+    # a label that is not a string was written into a report `clickstats
+    # report` rejects
+    (lambda p: _sidecar_text(p, '{"label": 5}'), "label, if any, is a string"),
+    (lambda p: _sidecar_text(p, '{"label": ["a"]}'), "label, if any, is a string"),
+    (lambda p: _sidecar_text(p, '{"label": {"x": 1}}'), "label, if any, is a string"),
+    (lambda p: _counts_text(p, "# bins_a=2 bins_b=2\n0,0,0\n0,0,0\n0,0,0\n"),
+     "empty dataset: total count is zero"),
 ], ids=["non-utf8-counts", "sidecar-list", "report-missing-field",
         "report-list", "provenance-without-bins_a", "estimate-is-string",
         "stderr-is-string", "count-beyond-int64", "report-value-beyond-float",
@@ -308,7 +361,9 @@ def _set(data, path, value):
         "tmsv-without-lambda2", "verdict-is-string", "bins_a-is-string",
         "seed-is-bool", "schema-version-is-bool", "condition-count-is-float",
         "sidecar-seed-is-nan", "report-threshold-is-nan",
-        "report-value-is-infinite", "tmsv-cut-beyond-bound", "shots-beyond-int64"])
+        "report-value-is-infinite", "tmsv-cut-beyond-bound", "shots-beyond-int64",
+        "sidecar-number-beyond-float", "report-number-beyond-float", "sidecar-label-is-int",
+        "sidecar-label-is-list", "sidecar-label-is-object", "zero-total-counts"])
 def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, message):
     assert run(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -490,6 +545,29 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6)
+
+
+# Sidecars: JSON objects with any JSON value under "label" and other keys,
+# integers past int64 and past the largest float included
+_SIDECARS = st.builds(lambda extra, label: {**extra, **label},
+                      st.dictionaries(st.text(max_size=6), _JSON, max_size=3),
+                      st.fixed_dictionaries({}, optional={"label": _JSON}))
+
+
+@given(sidecar=_SIDECARS)
+@example(sidecar={"label": 5})
+@example(sidecar={"label": None, "gain": 10**400})
+@example(sidecar={"label": "tmsv", "shots": 2**63, "eta": math.nan})
+def test_sidecar_fuzz(sidecar):
+    # analyze either exits 2 and writes nothing, or writes a report that
+    # `clickstats report` reads
+    with tempfile.TemporaryDirectory() as tmp:
+        counts, report = _counts_file(Path(tmp)), Path(tmp) / "r.json"
+        Path(tmp, "c.csv.meta.json").write_text(json.dumps(sidecar))
+        code = run(["analyze", "--counts", counts, "--replicates", 2, "--seed", 1,
+                    "--report-out", report])
+        assert (code == 2 and not report.exists()
+                or code == 0 and run(["report", report]) == 0)
 
 
 def _assert_typed(obj):

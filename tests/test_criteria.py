@@ -232,12 +232,12 @@ def test_min_eigenvalue_residual_dim5():
 
 
 def test_frak_n_product_binomials():
-    value = cs.conditional_nonclassicality_number(coherent_product_jcd())
+    value = cs.statistic(coherent_product_jcd(), "frak_n")
     assert value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_frak_n_ideal_split_photon():
-    value = cs.conditional_nonclassicality_number(ideal_split_photon_jcd())
+    value = cs.statistic(ideal_split_photon_jcd(), "frak_n")
     assert value == pytest.approx(SP_FRAK_N, abs=1e-10)
 
 
@@ -245,7 +245,7 @@ def test_frak_n_classical_mixtures_nonnegative():
     rng = np.random.default_rng(12)
     for _ in range(60):
         jcd = classical_mixture_jcd(rng, components=int(rng.integers(1, 4)))
-        assert cs.conditional_nonclassicality_number(jcd) >= -1e-10
+        assert cs.statistic(jcd, "frak_n") >= -1e-10
 
 
 def test_evaluate_all_exact_split_photon():

@@ -106,7 +106,7 @@ def _cells(dtype, corner):
     (_cells(bool, True), "counts must be an integer array, got bool"),
     (_cells(object, 2**70), "counts must be an integer array, got object"),
     # and 2^63 in a uint64 cell into -2^63
-    (_cells(np.uint64, 2**63), "count 9223372036854775808 exceeds 2^63 - 1"),
+    (_cells(np.uint64, 2**63), "total count 9223372036854775809 exceeds 2^63 - 1"),
 ], ids=["float", "float-beyond-int64", "float-inf", "bool", "object",
         "uint64-beyond-int64"])
 def test_count_matrix_rejects_what_is_no_int64_count(counts, message):

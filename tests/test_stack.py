@@ -63,7 +63,7 @@ def test_scalar_wrappers_equal_stack_rows(probs):
         assert same(cs.statistic(jcd, "kappa_cl_max"), row["kappa_cl_max"])
         assert same(cs.statistic(jcd, "gamma"), row["gamma"])
         assert same(cs.statistic(jcd, "gamma_cl_max"), row["gamma_cl_max"])
-        assert same(cs.conditional_nonclassicality_number(jcd), row["frak_n"])
+        assert same(cs.statistic(jcd, "frak_n"), row["frak_n"])
         assert same(summed_click_mean(jcd), row["summed_click_mean"])
         for name, fn in STATISTICS.items():
             assert same(fn(jcd), row[name])
