@@ -8,14 +8,15 @@ column index b). Exact distributions use the same layout with floats.
 
 Report JSON: flat object with ``schema_version``, one ``{value, stderr,
 defined}`` object per statistic, ``{violated, significance_sigmas}`` per
-verdict, and full provenance (seed, shots, parameters).
+verdict, and full provenance (seed, shots, parameters); model.py declares
+this schema-v1 layout once.
 
 Exit codes: 0 success, 1 usage error, 2 data error (including more than
 model.MAX_BINS bins on an arm, a coherent mean above
 simulator.MAX_COHERENT_MEAN, --lambda2 or --t2 outside (0, 1), a --lambda2
 whose photon cut exceeds simulator.MAX_TMSV_CUT, --shots above 2^63 - 1,
 --replicates at or above 2^32, a threshold that is not finite and positive,
-and a negative seed).
+a negative seed, and a sidecar nested deeper than MAX_SIDECAR_DEPTH).
 """
 from __future__ import annotations
 
@@ -40,6 +41,10 @@ EXIT_DATA = 2
 
 # Verdict.violated -> table cell; None is an undetermined test
 VERDICT_SYMBOLS = {True: "✓", False: "✗", None: "?"}
+# The report holds the sidecar two levels down (provenance.parameters). The
+# JSON decoder's depth limit depends on the caller's stack, so a fixed bound
+# far below it keeps every report analyze writes readable by `report`.
+MAX_SIDECAR_DEPTH = 100
 
 
 def _write_csv(path, matrix: np.ndarray) -> None:
@@ -82,6 +87,16 @@ def _read_json(path):
         return json.loads(_read_text(path), parse_constant=_finite, parse_float=_finite)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: not JSON: {exc}") from exc
+
+
+def _depth(value) -> int:
+    """How many arrays and objects deep a JSON value nests (0 for a scalar);
+    counted level by level, since recursion is what the bound guards."""
+    depth, level = 0, [value]
+    while level := [v for v in level if isinstance(v, (list, dict))]:
+        depth += 1
+        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
+    return depth
 
 
 def read_counts_csv(path) -> CountMatrix:
@@ -170,6 +185,9 @@ def cmd_analyze(args) -> int:
     if not isinstance(parameters, dict) or type(parameters.get("label", "")) is not str:
         raise ValidationError(f"{meta_path}: sidecar must be a JSON object whose "
                               f"label, if any, is a string")
+    if _depth(parameters) > MAX_SIDECAR_DEPTH:
+        raise ValidationError(f"{meta_path}: sidecar nests deeper than "
+                              f"{MAX_SIDECAR_DEPTH} arrays and objects")
     jcd = normalize(counts)
     errors = bootstrap(counts, config)
     report = dataclasses.replace(
@@ -233,8 +251,10 @@ def cmd_report(args) -> int:
     reports = [CriteriaReport.from_dict(_read_json(path)) for path in args.reports]
     table = render_report_table(reports)
     if args.out:
-        Path(args.out).write_text(table + "\n")
-    print(table)
+        Path(args.out).write_text(table + "\n", encoding="utf-8")
+    # a stdout that cannot encode the verdict symbols gets their escapes
+    encoding = sys.stdout.encoding or "utf-8"
+    print(table.encode(encoding, "backslashreplace").decode(encoding))
     return EXIT_OK
 
 

@@ -33,9 +33,9 @@ class UndefinedStatisticError(ClickStatsError):
     unsupported condition, zero variance)."""
 
 
-def _json_number(x: float | None) -> float | None:
-    """JSON has no NaN or Infinity: non-finite numbers are written as null."""
-    return x if x is None or math.isfinite(x) else None
+def _json_number(x):
+    """JSON has no NaN or Infinity: a non-finite float is written as null."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _typed(d: dict, key: str, *kinds: type):
@@ -184,20 +184,9 @@ class Estimate:
     stderr: float | None = None
     defined: bool = True
 
-    def to_dict(self) -> dict:
-        return {"value": _json_number(self.value),
-                "stderr": _json_number(self.stderr), "defined": self.defined}
-
     @classmethod
     def undefined(cls) -> "Estimate":
         return cls(value=float("nan"), stderr=None, defined=False)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Estimate":
-        value = _typed(d, "value", int, float, NoneType)
-        return cls(value=math.nan if value is None else value,
-                   stderr=_typed(d, "stderr", int, float, NoneType),
-                   defined=_typed(d, "defined", bool))
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,15 +200,22 @@ class Verdict:
     violated: bool | None
     significance_sigmas: float | None = None
 
-    def to_dict(self) -> dict:
-        return {"violated": self.violated,
-                "significance_sigmas": _json_number(self.significance_sigmas)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Verdict":
-        return cls(violated=_typed(d, "violated", bool, NoneType),
-                   significance_sigmas=_typed(d, "significance_sigmas",
-                                              int, float, NoneType))
+# The schema-v1 report layout, which CriteriaReport.to_dict and from_dict walk
+_NUMBER = (int, float, NoneType)
+_OBJECT_KEYS = {Estimate: {"value": _NUMBER, "stderr": _NUMBER, "defined": (bool,)},
+                Verdict: {"violated": (bool, NoneType), "significance_sigmas": _NUMBER}}
+_PROVENANCE_KEYS = {  # each provenance key: the field it holds, its JSON types
+    "bins_a": ("bins_a", (int,)),
+    "bins_b": ("bins_b", (int,)),
+    "shots": ("total_shots", (int, NoneType)),
+    "bootstrap_replicates": ("bootstrap_replicates", (int, NoneType)),
+    "seed": ("seed", (int, NoneType)),
+    "threshold": ("threshold", (int, float)),
+    "moment_warning": (None, (bool,)),  # false in v1: moments lie in [0, 1]
+    "condition_counts": ("condition_counts", (list,)),
+    "parameters": ("parameters", (dict,)),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,22 +249,13 @@ class CriteriaReport:
 
     def to_dict(self) -> dict:
         out: dict = {"schema_version": 1, "label": self.label}
-        for name in self.STAT_FIELDS:
-            out[name] = getattr(self, name).to_dict()
-        for name in self.VERDICT_FIELDS:
-            out[name] = getattr(self, name).to_dict()
-        out["provenance"] = {
-            "bins_a": self.bins_a,
-            "bins_b": self.bins_b,
-            "shots": self.total_shots,
-            "bootstrap_replicates": self.bootstrap_replicates,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            # a schema v1 key: conditional moments always lie in [0, 1]
-            "moment_warning": False,
-            "condition_counts": list(self.condition_counts),
-            "parameters": self.parameters,
-        }
+        for name in self.STAT_FIELDS + self.VERDICT_FIELDS:
+            obj = getattr(self, name)
+            out[name] = {key: _json_number(getattr(obj, key))
+                         for key in _OBJECT_KEYS[type(obj)]}
+        out["provenance"] = {key: False if name is None else getattr(self, name)
+                             for key, (name, _) in _PROVENANCE_KEYS.items()}
+        out["provenance"]["condition_counts"] = list(self.condition_counts)
         return out
 
     @classmethod
@@ -280,22 +267,20 @@ class CriteriaReport:
                 f"unsupported report schema version: {d.get('schema_version')!r}")
         try:
             prov = _typed(d, "provenance", dict)
-            if any(type(n) is not int for n in _typed(prov, "condition_counts", list)):
+            fields = {name: _typed(prov, key, *kinds)
+                      for key, (name, kinds) in _PROVENANCE_KEYS.items() if name}
+            if any(type(n) is not int for n in fields["condition_counts"]):
                 raise TypeError("condition_counts must hold ints")
-            return cls(
-                bins_a=_typed(prov, "bins_a", int),
-                bins_b=_typed(prov, "bins_b", int),
-                total_shots=_typed(prov, "shots", int, NoneType),
-                bootstrap_replicates=_typed(prov, "bootstrap_replicates", int, NoneType),
-                seed=_typed(prov, "seed", int, NoneType),
-                threshold=_typed(prov, "threshold", int, float),
-                label=_typed(d, "label", str),
-                condition_counts=tuple(prov["condition_counts"]),
-                parameters=_typed(prov, "parameters", dict),
-                **{name: Estimate.from_dict(_typed(d, name, dict))
-                   for name in cls.STAT_FIELDS},
-                **{name: Verdict.from_dict(_typed(d, name, dict))
-                   for name in cls.VERDICT_FIELDS},
-            )
+            fields["condition_counts"] = tuple(fields["condition_counts"])
+            fields["label"] = _typed(d, "label", str)
+            for name in cls.STAT_FIELDS + cls.VERDICT_FIELDS:
+                kind = Estimate if name in cls.STAT_FIELDS else Verdict
+                obj = _typed(d, name, dict)
+                values = {key: _typed(obj, key, *kinds)
+                          for key, kinds in _OBJECT_KEYS[kind].items()}
+                if kind is Estimate and values["value"] is None:
+                    values["value"] = math.nan  # an undefined estimate
+                fields[name] = kind(**values)
+            return cls(**fields)
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValidationError(f"malformed report: {exc!r}") from exc

@@ -2,6 +2,9 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import typing
 from pathlib import Path
@@ -254,6 +257,12 @@ def _sidecar_text(tmp_path, text):
             "--report-out", tmp_path / "r.json"]
 
 
+def _nested_sidecar(lists):
+    """The JSON text of a sidecar {"x": [[...]]} holding ``lists`` nested lists,
+    too deep for hypothesis to print as a value."""
+    return '{"x": ' + "[" * lists + "]" * lists + "}"
+
+
 def _counts_text(tmp_path, text):
     path = tmp_path / "c.csv"
     path.write_text(text)
@@ -353,6 +362,10 @@ def _set(data, path, value):
     (lambda p: _sidecar_text(p, '{"label": {"x": 1}}'), "label, if any, is a string"),
     (lambda p: _counts_text(p, "# bins_a=2 bins_b=2\n0,0,0\n0,0,0\n0,0,0\n"),
      "empty dataset: total count is zero"),
+    # the report holds the sidecar two levels deeper, where the JSON decoder's
+    # recursion limit, which depends on the caller's stack, may reject it
+    (lambda p: _sidecar_text(p, _nested_sidecar(cli.MAX_SIDECAR_DEPTH)),
+     f"sidecar nests deeper than {cli.MAX_SIDECAR_DEPTH} arrays and objects"),
 ], ids=["non-utf8-counts", "sidecar-list", "report-missing-field",
         "report-list", "provenance-without-bins_a", "estimate-is-string",
         "stderr-is-string", "count-beyond-int64", "report-value-beyond-float",
@@ -363,7 +376,8 @@ def _set(data, path, value):
         "sidecar-seed-is-nan", "report-threshold-is-nan",
         "report-value-is-infinite", "tmsv-cut-beyond-bound", "shots-beyond-int64",
         "sidecar-number-beyond-float", "report-number-beyond-float", "sidecar-label-is-int",
-        "sidecar-label-is-list", "sidecar-label-is-object", "zero-total-counts"])
+        "sidecar-label-is-list", "sidecar-label-is-object", "zero-total-counts",
+        "sidecar-nested-too-deep"])
 def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, message):
     assert run(make_argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -449,6 +463,25 @@ def test_report_single_row(tmp_path):
     assert len(table.strip().splitlines()) == 3  # header, rule, one row
     undefined = dataclasses.replace(report, frak_n=cs.Estimate.undefined())
     assert render_report_table([undefined]).splitlines()[2].endswith("  n/a")
+
+
+def test_report_under_an_ascii_locale(tmp_path):
+    # the command under the C locale: printing the table and writing
+    # --out both raised UnicodeEncodeError on the verdict symbols, exited 1
+    # and left an empty --out file
+    report_path = _report_file(tmp_path, lambda d: d)[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = tmp_path / "table.txt"
+    done = subprocess.run([sys.executable, "-m", "clickstats.cli", "report", report_path,
+                           "--out", out], env=env, capture_output=True, check=False)
+    assert done.returncode == 0, done.stderr
+    table = render_report_table(
+        [cs.CriteriaReport.from_dict(json.loads(report_path.read_text()))])
+    assert "✓" in table or "✗" in table
+    assert out.read_text(encoding="utf-8") == table + "\n"
+    assert done.stdout == table.encode("ascii", "backslashreplace") + b"\n"
 
 
 def test_report_empty_input(tmp_path):
@@ -558,12 +591,17 @@ _SIDECARS = st.builds(lambda extra, label: {**extra, **label},
 @example(sidecar={"label": 5})
 @example(sidecar={"label": None, "gain": 10**400})
 @example(sidecar={"label": "tmsv", "shots": 2**63, "eta": math.nan})
+@example(sidecar=_nested_sidecar(cli.MAX_SIDECAR_DEPTH - 1))
+# read by analyze, while the report, two levels deeper, exceeded the JSON
+# decoder's recursion limit when run from a shallow stack
+@example(sidecar=_nested_sidecar(990))
 def test_sidecar_fuzz(sidecar):
     # analyze either exits 2 and writes nothing, or writes a report that
-    # `clickstats report` reads
+    # `clickstats report` reads; an example may give the sidecar as JSON text
+    text = sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
     with tempfile.TemporaryDirectory() as tmp:
         counts, report = _counts_file(Path(tmp)), Path(tmp) / "r.json"
-        Path(tmp, "c.csv.meta.json").write_text(json.dumps(sidecar))
+        Path(tmp, "c.csv.meta.json").write_text(text)
         code = run(["analyze", "--counts", counts, "--replicates", 2, "--seed", 1,
                     "--report-out", report])
         assert (code == 2 and not report.exists()

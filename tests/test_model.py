@@ -145,17 +145,49 @@ def test_sampling_l1_convergence_rate():
     assert slope == pytest.approx(-0.5, abs=0.15)
 
 
+def test_report_layout_key_order():
+    # the schema-v1 key order, moment_warning included, and the field each
+    # provenance key holds
+    cfg = cs.DetectorConfig(4, 0.5, 1e-4)
+    jcd = cs.joint_click_distribution(
+        cs.build_photon_distribution(cs.StateSpec.tmsv(0.3)), cfg, cfg)
+    report = dataclasses.replace(cs.evaluate_all(jcd), total_shots=1000,
+                                 bootstrap_replicates=7, seed=3,
+                                 condition_counts=(1, 2, 3, 4, 5), parameters={"a": 1})
+    data = report.to_dict()
+    assert list(data) == ["schema_version", "label", *cs.CriteriaReport.STAT_FIELDS,
+                          *cs.CriteriaReport.VERDICT_FIELDS, "provenance"]
+    assert [list(data[name]) for name in cs.CriteriaReport.STAT_FIELDS] == [
+        ["value", "stderr", "defined"]] * 8
+    assert [list(data[name]) for name in cs.CriteriaReport.VERDICT_FIELDS] == [
+        ["violated", "significance_sigmas"]] * 3
+    assert list(data["provenance"].items()) == [
+        ("bins_a", 4), ("bins_b", 4), ("shots", 1000), ("bootstrap_replicates", 7),
+        ("seed", 3), ("threshold", 3.0), ("moment_warning", False),
+        ("condition_counts", [1, 2, 3, 4, 5]), ("parameters", {"a": 1})]
+
+
 def test_report_round_trip():
-    cfg = cs.DetectorConfig(8, 0.5, 0.0)
+    # an undefined estimate, an infinite significance, no seed or shots, and
+    # nested parameters; the infinite significance is written as null and
+    # reads back as None, an undefined value reads back as NaN
+    cfg = cs.DetectorConfig(8, 1.0, 0.0)
     jcd = cs.joint_click_distribution(
         cs.build_photon_distribution(cs.StateSpec.split_photon(np.sqrt(0.5))),
         cfg, cfg)
-    report = dataclasses.replace(cs.evaluate_all(jcd), label="sp", total_shots=100, seed=3)
-    again = cs.CriteriaReport.from_dict(report.to_dict())
-    assert again.kappa.value == report.kappa.value
-    assert again.gamma_test.violated == report.gamma_test.violated
-    assert again.label == "sp"
-    assert again.seed == 3
+    errors = {"kappa_margin": BootstrapStat(stderr=0.0, drop_fraction=0.0)}
+    report = dataclasses.replace(
+        cs.evaluate_all(jcd, errors=errors, threshold=2.5),
+        q_b=cs.Estimate.undefined(), total_shots=None, bootstrap_replicates=7,
+        seed=None, label="sp", condition_counts=(3, 0, 5, 1, 0, 0, 0, 0, 2),
+        parameters={"detector": {"eta": [1.0, 0.5], "bins": 8}, "note": None})
+    assert report.kappa_test.significance_sigmas == math.inf
+    again = cs.CriteriaReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    expected = dataclasses.replace(report, kappa_test=cs.Verdict(violated=True))
+    for f in dataclasses.fields(report):
+        assert repr(getattr(again, f.name)) == repr(getattr(expected, f.name)), f.name
+    assert type(again.condition_counts) is tuple
+    assert math.isnan(again.q_b.value) and again.q_b.defined is False
 
 
 def test_report_dict_is_strict_json():
