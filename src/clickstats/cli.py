@@ -11,12 +11,22 @@ defined}`` object per statistic, ``{violated, significance_sigmas}`` per
 verdict, and full provenance (seed, shots, parameters); model.py declares
 this schema-v1 layout once.
 
-Exit codes: 0 success, 1 usage error, 2 data error (including more than
-model.MAX_BINS bins on an arm, a coherent mean above
-simulator.MAX_COHERENT_MEAN, --lambda2 or --t2 outside (0, 1), a --lambda2
-whose photon cut exceeds simulator.MAX_TMSV_CUT, --shots above 2^63 - 1,
---replicates at or above 2^32, a threshold that is not finite and positive,
-a negative seed, and a sidecar nested deeper than MAX_SIDECAR_DEPTH).
+Exit codes: 0 success; 1 usage error (an unknown command or option, a
+missing required option, an option value of the wrong type); 2 data error,
+malformed or invalid input, including:
+- a file that is not UTF-8 (a UTF-8 byte-order mark is skipped);
+- a sidecar or report that is not the documented JSON object, or that holds
+  NaN, Infinity, -Infinity or a number beyond the float range;
+- a sidecar label that is not a string, or a sidecar nested deeper than
+  MAX_SIDECAR_DEPTH;
+- a report key that is missing or of the wrong type;
+- counts whose total is zero or above 2^63 - 1, or that hold a negative count;
+- more than model.MAX_BINS bins on an arm;
+- a coherent mean that is not finite or is above simulator.MAX_COHERENT_MEAN;
+- a missing --lambda2 or --t2, one outside (0, 1), or a --lambda2 whose
+  photon cut exceeds simulator.MAX_TMSV_CUT;
+- --shots below 1 or above 2^63 - 1, --replicates at or above 2^32, a
+  --threshold that is not finite and positive, or a negative seed.
 """
 from __future__ import annotations
 
@@ -69,7 +79,7 @@ def _parse_header(line: str, path) -> tuple[int, int]:
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text") from exc
 
@@ -199,24 +209,8 @@ def cmd_analyze(args) -> int:
 
     with open(args.report_out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
-    if args.plot_data:
-        _write_plot_data(args.plot_data, report)
     print(f"wrote {args.report_out}")
     return EXIT_OK
-
-
-def _write_plot_data(path, report: CriteriaReport) -> None:
-    rows = [
-        ("kappa", report.kappa, report.kappa_cl_max),
-        ("gamma", report.gamma, report.gamma_cl_max),
-        ("frak_n", report.frak_n, None),
-    ]
-    with open(path, "w") as fh:
-        fh.write("criterion,value,bound,stderr\n")
-        for name, est, bound in rows:
-            bound_value = "" if bound is None else repr(bound.value)
-            stderr = "" if est.stderr is None else repr(est.stderr)
-            fh.write(f"{name},{repr(est.value)},{bound_value},{stderr}\n")
 
 
 def render_report_table(reports: list[CriteriaReport]) -> str:
@@ -292,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--seed", type=int, help="bootstrap seed")
     ana.add_argument("--label", help="dataset label for the report table")
     ana.add_argument("--report-out", required=True)
-    ana.add_argument("--plot-data", help="write criterion,value,bound,stderr CSV")
     ana.set_defaults(func=cmd_analyze)
 
     rep = sub.add_parser("report", help="render a comparison table from reports")

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (CriteriaReport, Estimate, JointClickDistribution,
-                    UndefinedStatisticError, ValidationError, Verdict)
+                    UndefinedStatisticError, ValidationError, Verdict, as_int)
 
 # The statistics of a stack, each with the reason it can be undefined.
 WHY_UNDEFINED = {
@@ -219,7 +219,7 @@ def conditional_nonclassicality_number(jcd: JointClickDistribution) -> float:
 
 def moment_matrix(jcd: JointClickDistribution, a: int) -> np.ndarray:
     """Conditional moment matrix <:pi_B^(m+m'):>_|a, m, m' = 0..floor(N_B/2)."""
-    if not 0 <= a <= jcd.bins_a:
+    if not 0 <= as_int("condition a", a) <= jcd.bins_a:
         raise ValidationError(f"condition a={a} out of range 0..{jcd.bins_a}")
     moments = stack_statistics(jcd.probs).moments[a]
     if np.isnan(moments[0]):

@@ -48,6 +48,14 @@ def _typed(d: dict, key: str, *kinds: type):
     return float(value) if type(value) is int and float in kinds else value
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as a Python int if it is an int or a numpy integer (a bool is
+    no integer), else ValidationError: a float would be truncated or fail later."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_matrix(arr: np.ndarray, what: str) -> None:
     if arr.ndim != 2 or not all(3 <= size <= MAX_BINS + 1 for size in arr.shape):
         raise ValidationError(f"{what} must be a 2-d matrix with bins in "
@@ -82,6 +90,7 @@ class DetectorConfig:
     dark_click: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bins", as_int("bins", self.bins))
         if not 2 <= self.bins <= MAX_BINS:
             raise ValidationError(f"bins must be in [2, {MAX_BINS}], got {self.bins}")
         if not 0.0 <= self.efficiency <= 1.0:

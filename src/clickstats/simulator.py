@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (INT64_MAX, CountMatrix, DetectorConfig, JointClickDistribution,
-                    JointPhotonDistribution, ValidationError)
+                    JointPhotonDistribution, ValidationError, as_int)
 
 TAIL_MASS = 1e-12
 # Largest coherent mean photon number: exp(-mean), the vacuum weight the
@@ -157,7 +157,9 @@ def joint_click_distribution(jpd: JointPhotonDistribution,
 
 
 def check_sampling(shots: int, seed: int) -> None:
-    """1 to 2^63 - 1 shots (the bounds of CountMatrix.total) and a seed >= 0."""
+    """1 to 2^63 - 1 shots (the bounds of CountMatrix.total) and a seed >= 0,
+    both integers."""
+    shots, seed = as_int("shots", shots), as_int("seed", seed)
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     if shots > INT64_MAX:

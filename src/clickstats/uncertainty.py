@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from . import criteria
-from .model import CountMatrix, ValidationError
+from .model import CountMatrix, ValidationError, as_int
 
 # statistic name -> callable on a JointClickDistribution
 STATISTICS: dict = {name: partial(criteria.statistic, name=name)
@@ -62,6 +62,8 @@ class BootstrapConfig:
     statistics: tuple = tuple(STATISTICS)
 
     def __post_init__(self) -> None:
+        for name in ("replicates", "seed"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.replicates < 2:
             raise ValidationError("bootstrap needs at least 2 replicates")
         if self.replicates >= 2**32:   # a spawn index is one 32-bit word

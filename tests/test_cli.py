@@ -415,10 +415,8 @@ def test_usage_error_exit_code():
 def test_analyze_report(tmp_path):
     counts = simulate_sp(tmp_path)
     report_path = tmp_path / "report.json"
-    plot_path = tmp_path / "plot.csv"
-    code = run(["analyze", "--counts", counts, "--replicates", 200, "--seed", 11,
-                "--report-out", report_path, "--plot-data", plot_path])
-    assert code == 0
+    analyze = ["analyze", "--counts", counts, "--replicates", 200, "--seed", 11]
+    assert run([*analyze, "--report-out", report_path]) == 0
     data = json.loads(report_path.read_text())
     assert data["schema_version"] == 1
     assert data["kappa"]["defined"] is True
@@ -426,10 +424,33 @@ def test_analyze_report(tmp_path):
     assert data["provenance"]["shots"] == 20000
     assert data["provenance"]["seed"] == 11
     assert len(data["provenance"]["condition_counts"]) == 9
-    lines = plot_path.read_text().strip().splitlines()
-    assert lines[0] == "criterion,value,bound,stderr"
-    assert len(lines) == 4
-    assert lines[1].startswith("kappa,")
+    # the report holds every value the removed --plot-data CSV held
+    matrix = read_counts_csv(counts)
+    expected = cs.evaluate_all(cs.normalize(matrix), errors=cs.bootstrap(
+        matrix, cs.BootstrapConfig(replicates=200, seed=11)))
+    for name, key in [("kappa", "value"), ("kappa_cl_max", "value"), ("kappa", "stderr"),
+                      ("gamma", "value"), ("gamma_cl_max", "value"), ("gamma", "stderr"),
+                      ("frak_n", "value"), ("frak_n", "stderr")]:
+        assert data[name][key] == getattr(getattr(expected, name), key)
+    plot_path = tmp_path / "plot.csv"
+    assert run([*analyze, "--report-out", report_path, "--plot-data", plot_path]) == 1
+    assert not plot_path.exists()
+
+
+def test_byte_order_mark_is_read(tmp_path):
+    """A UTF-8 byte-order mark (Notepad's "UTF-8 with BOM") on the counts file
+    and on its sidecar changes no byte of the report."""
+    plain = simulate_sp(tmp_path)
+    marked = tmp_path / "marked.csv"
+    for suffix in ("", ".meta.json"):
+        Path(f"{marked}{suffix}").write_bytes(
+            b"\xef\xbb\xbf" + Path(f"{plain}{suffix}").read_bytes())
+    reports = []
+    for counts in (plain, marked):
+        reports.append(tmp_path / f"{counts.stem}.json")
+        assert run(["analyze", "--counts", counts, "--replicates", 20, "--seed", 3,
+                    "--report-out", reports[-1]]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def test_analyze_reproducible(tmp_path):

@@ -19,6 +19,12 @@ def test_detector_config_validation():
         cs.DetectorConfig(bins=8, efficiency=1.2)
     with pytest.raises(ValidationError):
         cs.DetectorConfig(bins=8, dark_click=1.0)
+    # a float or bool bin count is no integer; a numpy integer is one
+    for bins in (8.0, True, np.float64(8)):
+        message = re.escape(f"bins must be an integer, got {bins!r}")
+        with pytest.raises(ValidationError, match=message):
+            cs.DetectorConfig(bins=bins)
+    assert type(cs.DetectorConfig(bins=np.int64(8)).bins) is int
 
 
 def test_bins_bounded_by_max_bins():

@@ -83,6 +83,11 @@ def test_sample_counts_rejects_negative_seed():
     jcd = cs.JointClickDistribution(np.full((3, 3), 1.0 / 9.0))
     with pytest.raises(ValidationError, match="seed"):
         cs.sample_counts(jcd, 10, -1)
+    for seed in (1.5, True):
+        with pytest.raises(ValidationError, match=f"seed must be an integer, got {seed}"):
+            cs.sample_counts(jcd, 5, seed)
+    assert np.array_equal(cs.sample_counts(jcd, 10, np.int64(3)).counts,
+                          cs.sample_counts(jcd, 10, 3).counts)
 
 
 def test_sample_counts_shots_bound():
@@ -91,6 +96,11 @@ def test_sample_counts_shots_bound():
     with pytest.raises(ValidationError, match="shots 9223372036854775808 exceeds 2\\^63 - 1"):
         cs.sample_counts(jcd, 2**63, 1)
     assert cs.sample_counts(jcd, 2**63 - 1, 1).total == 2**63 - 1
+    # a float is no shot count: truncated, 2.9 would draw 2 shots
+    for shots in (2.9, 2.0, True):
+        with pytest.raises(ValidationError, match=f"shots must be an integer, got {shots}"):
+            cs.sample_counts(jcd, shots, 0)
+    assert cs.sample_counts(jcd, np.int64(5), 0).total == 5
 
 
 def test_split_photon_distribution():

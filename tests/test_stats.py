@@ -71,6 +71,9 @@ def test_conditional_unsupported():
     for a in (-1, 9):
         with pytest.raises(ValidationError, match="out of range"):
             moment_matrix(jcd, a)
+    with pytest.raises(ValidationError, match="condition a must be an integer, got 1.0"):
+        moment_matrix(jcd, 1.0)
+    assert np.array_equal(moment_matrix(jcd, np.int64(1)), moment_matrix(jcd, 1))
 
 
 def test_mean_variance_point_mass():

@@ -35,6 +35,16 @@ def test_config_validation():
     with pytest.raises(ValidationError, match="replicates must be below 2\\^32"):
         BootstrapConfig(replicates=2**32)
     assert BootstrapConfig(replicates=2**32 - 1).replicates == 2**32 - 1
+    # a bool seed would reach the report as `"seed": true`, which no reader takes
+    for args, message in (((2.5, 0), "replicates must be an integer, got 2.5"),
+                          ((10, 1.5), "seed must be an integer, got 1.5"),
+                          ((10, True), "seed must be an integer, got True")):
+        with pytest.raises(ValidationError, match=message):
+            BootstrapConfig(*args)
+    config = BootstrapConfig(np.int64(10), np.uint64(2**64 - 1))
+    assert (type(config.replicates), type(config.seed)) == (int, int)
+    counts = coherent_counts(1000)
+    assert bootstrap(counts, config) == bootstrap(counts, BootstrapConfig(10, 2**64 - 1))
 
 
 @pytest.mark.parametrize("replicates", [1, 2, CHUNK + 1])
