@@ -11,22 +11,8 @@ defined}`` object per statistic, ``{violated, significance_sigmas}`` per
 verdict, and full provenance (seed, shots, parameters); model.py declares
 this schema-v1 layout once.
 
-Exit codes: 0 success; 1 usage error (an unknown command or option, a
-missing required option, an option value of the wrong type); 2 data error,
-malformed or invalid input, including:
-- a file that is not UTF-8 (a UTF-8 byte-order mark is skipped);
-- a sidecar or report that is not the documented JSON object, or that holds
-  NaN, Infinity, -Infinity or a number beyond the float range;
-- a sidecar label that is not a string, or a sidecar nested deeper than
-  MAX_SIDECAR_DEPTH;
-- a report key that is missing or of the wrong type;
-- counts whose total is zero or above 2^63 - 1, or that hold a negative count;
-- more than model.MAX_BINS bins on an arm;
-- a coherent mean that is not finite or is above simulator.MAX_COHERENT_MEAN;
-- a missing --lambda2 or --t2, one outside (0, 1), or a --lambda2 whose
-  photon cut exceeds simulator.MAX_TMSV_CUT;
-- --shots below 1 or above 2^63 - 1, --replicates at or above 2^32, a
-  --threshold that is not finite and positive, or a negative seed.
+Exit codes: 0 success, 1 usage error, 2 data error (malformed or invalid
+input). README's CLI section lists the causes of each.
 """
 from __future__ import annotations
 
@@ -240,12 +226,8 @@ def render_report_table(reports: list[CriteriaReport]) -> str:
 
 
 def cmd_report(args) -> int:
-    if not args.reports:
-        raise ValidationError("no report files given")
     reports = [CriteriaReport.from_dict(_read_json(path)) for path in args.reports]
     table = render_report_table(reports)
-    if args.out:
-        Path(args.out).write_text(table + "\n", encoding="utf-8")
     # a stdout that cannot encode the verdict symbols gets their escapes
     encoding = sys.stdout.encoding or "utf-8"
     print(table.encode(encoding, "backslashreplace").decode(encoding))
@@ -289,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(func=cmd_analyze)
 
     rep = sub.add_parser("report", help="render a comparison table from reports")
-    rep.add_argument("reports", nargs="*")
-    rep.add_argument("--out", help="also write the table to a file")
+    rep.add_argument("reports", nargs="+")
     rep.set_defaults(func=cmd_report)
     return parser
 

@@ -49,9 +49,12 @@ WHY_UNDEFINED = {
     "frak_n": "no supported conditions",
 }
 
-# An exact margin (no bootstrap errors) must exceed this to count as violated:
-# coherent light, on every classical bound, reads rounding and the TAIL_MASS
-# cut (1e-16 to 1e-9). Below the benchmark's 1e-8 check of exact statistics.
+# An exact margin (no bootstrap errors) must exceed this to count as violated.
+# It absorbs the rounding of a margin that is zero in exact arithmetic, as on
+# coherent light, and stays below the benchmark's 1e-8 check of exact
+# statistics. Some coherent states read more: the raw covariance gives a
+# gamma margin of 3.3e-7 and the TAIL_MASS cut kappa margins up to 1.5e-9
+# (ROADMAP items 1-2; strict xfails in tests/test_criteria.py).
 EXACT_MARGIN_TOL = 1e-9
 
 # The single eigen-solve of stack_statistics: ascending eigenvalues of a stack
@@ -248,10 +251,19 @@ def _as_verdict(margin: float, err, threshold: float) -> Verdict:
     return Verdict(violated=bool(sig > threshold), significance_sigmas=sig)
 
 
-def check_threshold(threshold: float) -> None:
-    """A verdict threshold, in standard errors, must be finite and positive."""
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
+def check_threshold(threshold) -> float:
+    """A verdict threshold, in standard errors, as the float the report's JSON
+    holds: a real number (a bool is none), finite and positive."""
+    if isinstance(threshold, bool) or not isinstance(
+            threshold, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"threshold must be a real number, got {threshold!r}")
+    try:
+        value = float(threshold)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"threshold must be finite and > 0, got {threshold!r}")
+    return value
 
 
 def evaluate_all(jcd: JointClickDistribution, errors: dict | None = None,
@@ -260,13 +272,13 @@ def evaluate_all(jcd: JointClickDistribution, errors: dict | None = None,
 
     ``errors`` maps statistic names to bootstrap results (see
     clickstats.uncertainty); without it verdicts reduce to sign checks on the
-    exact distribution. ``threshold``, in standard errors, must be finite and
-    positive. The report's provenance (shots, replicates, seed, label,
-    parameters, condition counts) is left at its defaults: it describes the
-    run, not the statistics, and a caller attaches it with
-    ``dataclasses.replace``.
+    exact distribution. ``threshold``, in standard errors, must be a finite and
+    positive real number; the report stores it as a float. The report's
+    provenance (shots, replicates, seed, label, parameters, condition counts)
+    is left at its defaults: it describes the run, not the statistics, and a
+    caller attaches it with ``dataclasses.replace``.
     """
-    check_threshold(threshold)
+    threshold = check_threshold(threshold)
     point = stack_statistics(jcd.probs)
     values = {name: float(v) for name, v in point.values.items()}
     errors = errors or {}

@@ -165,7 +165,7 @@ DEMO_DATASETS = [
 ]
 
 
-def test_criterion_7_pipeline_demo(tmp_path):
+def test_criterion_7_pipeline_demo(tmp_path, capsys):
     reports = {}
     report_paths = []
     for label, flags, eta, shots, sim_seed, ana_seed in DEMO_DATASETS:
@@ -180,9 +180,9 @@ def test_criterion_7_pipeline_demo(tmp_path):
         reports[label] = cs.CriteriaReport.from_dict(
             json.loads(report.read_text()))
         report_paths.append(str(report))
-    table_path = tmp_path / "table.txt"
-    assert main(["report", *report_paths, "--out", str(table_path)]) == 0
-    table = table_path.read_text()
+    capsys.readouterr()
+    assert main(["report", *report_paths]) == 0
+    table = capsys.readouterr().out
     assert len(table.strip().splitlines()) == 8  # header + rule + 6 rows
 
     def pattern(label):

@@ -54,3 +54,7 @@ def test_names_the_workloads_call():
     assert (cfg.replicates, cfg.seed, cfg.statistics) == (2, 0, ("summed_click_mean",))
     counts = model.CountMatrix(np.array([[5, 1, 0], [1, 2, 0], [0, 0, 1]]))
     assert set(bootstrap(counts, cfg)) == {"summed_click_mean"}
+    cfg = model.DetectorConfig(8, 0.5, 1e-4)
+    jcd = simulator.joint_click_distribution(simulator.build_photon_distribution(
+        simulator.StateSpec.tmsv(0.3)), cfg, cfg)
+    assert criteria.conditional_nonclassicality_number(jcd) == criteria.statistic(jcd, "frak_n")

@@ -408,8 +408,14 @@ def test_drawn_seed_is_recorded_and_reproduces(tmp_path):
     assert (drawn / "r.json").read_bytes() == (again / "r.json").read_bytes()
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     assert run(["simulate", "--state", "nonsense"]) == 1
+    # report prints its table to stdout only: --out is a usage error, writing no file
+    report = _report_file(tmp_path, lambda d: d)
+    assert run(report) == 0
+    table_path = tmp_path / "t.txt"
+    assert run([*report, "--out", table_path]) == 1
+    assert not table_path.exists()
 
 
 def test_analyze_report(tmp_path):
@@ -462,14 +468,14 @@ def test_analyze_reproducible(tmp_path):
     assert paths[0].read_text() == paths[1].read_text()
 
 
-def test_report_table(tmp_path):
+def test_report_table(tmp_path, capsys):
     counts = simulate_sp(tmp_path)
     report_path = tmp_path / "report.json"
     run(["analyze", "--counts", counts, "--replicates", 200, "--seed", 11,
          "--label", "SP-demo", "--report-out", report_path])
-    out = tmp_path / "table.txt"
-    assert run(["report", report_path, "--out", out]) == 0
-    table = out.read_text()
+    capsys.readouterr()
+    assert run(["report", report_path]) == 0
+    table = capsys.readouterr().out
     assert "SP-demo" in table
     assert "✓" in table or "✗" in table
 
@@ -487,26 +493,23 @@ def test_report_single_row(tmp_path):
 
 
 def test_report_under_an_ascii_locale(tmp_path):
-    # the command under the C locale: printing the table and writing
-    # --out both raised UnicodeEncodeError on the verdict symbols, exited 1
-    # and left an empty --out file
+    # the command under the C locale: printing the table raised
+    # UnicodeEncodeError on the verdict symbols and exited 1
     report_path = _report_file(tmp_path, lambda d: d)[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
     env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
                PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    out = tmp_path / "table.txt"
-    done = subprocess.run([sys.executable, "-m", "clickstats.cli", "report", report_path,
-                           "--out", out], env=env, capture_output=True, check=False)
+    done = subprocess.run([sys.executable, "-m", "clickstats.cli", "report", report_path],
+                          env=env, capture_output=True, check=False)
     assert done.returncode == 0, done.stderr
     table = render_report_table(
         [cs.CriteriaReport.from_dict(json.loads(report_path.read_text()))])
     assert "✓" in table or "✗" in table
-    assert out.read_text(encoding="utf-8") == table + "\n"
     assert done.stdout == table.encode("ascii", "backslashreplace") + b"\n"
 
 
 def test_report_empty_input(tmp_path):
-    assert run(["report"]) == 2
+    assert run(["report"]) == 1
 
 
 def test_report_schema_mismatch(tmp_path):
