@@ -70,8 +70,10 @@ class StackStatistics:
     ``values`` maps each name of WHY_UNDEFINED to an array of the stack's
     shape, NaN where the statistic is undefined. ``moments[..., a, m]`` is the
     conditional moment <:pi_B^m:>_|a for m = 0..2*(N_B//2), and
-    ``eigenvalues[..., a]`` the smallest eigenvalue of condition a's moment
-    matrix; both are NaN on unsupported conditions (c(a) = 0).
+    ``eigenvalues[..., a]`` the smallest eigenvalue of condition a's full
+    (N_B//2 + 1)-square moment matrix, solved on the orders the stack reaches
+    (see ``stack_statistics``); both are NaN on unsupported conditions
+    (c(a) = 0).
     """
 
     values: dict
@@ -106,10 +108,13 @@ def moment_weights(bins: int, m_max: int) -> np.ndarray:
     return w
 
 
-def _hankel(bins_b: int) -> np.ndarray:
-    """Index matrix m + m' of the moment matrix, m, m' = 0..floor(N_B/2)."""
-    orders = np.arange(bins_b // 2 + 1)
-    return orders[:, None] + orders[None, :]
+@lru_cache(maxsize=None)
+def _hankel(order: int) -> np.ndarray:
+    """Read-only index matrix m + m' of a moment matrix, m, m' = 0..order."""
+    orders = np.arange(order + 1)
+    index = orders[:, None] + orders[None, :]
+    index.setflags(write=False)
+    return index
 
 
 def _q_parameter(e: np.ndarray, var: np.ndarray, bins: int) -> np.ndarray:
@@ -131,6 +136,15 @@ def stack_statistics(probs, clicks=None) -> StackStatistics:
     out must carry no probability. The default is every row and column,
     0..N_A and 0..N_B. Moments and eigenvalues then run along the given rows
     only.
+
+    The eigen-solve takes only the moment orders the stack reaches. With k
+    the highest click number of arm B that carries probability in any
+    member (0 if none does), every moment of order m > k is exactly 0, as
+    C(b, m) = 0 for b < m. Each moment matrix is then block-diagonal, its
+    leading (k+1)-square block and zeros, and its smallest eigenvalue is
+    min(0, the block's). So the solve runs at order min(k, N_B//2) and, below
+    N_B//2, clamps at 0. The point estimate and every bootstrap chunk run
+    this one rule.
 
     Conditional moments come from one table, ``c(a, b) @ W.T`` with
     W[m, b] = C(b, m) / C(N_B, m), which holds c(a) <:pi_B^m:>_|a; divided by
@@ -184,9 +198,14 @@ def stack_statistics(probs, clicks=None) -> StackStatistics:
         gamma_cl_max = np.where(denom != 0.0,
                                 np.sqrt(np.abs(n_a * n_b * q_a * q_b / denom)), np.nan)
 
-    # solve only the (distribution, condition) pairs that are supported
+    # solve only the (distribution, condition) pairs that are supported, at
+    # the moment orders up to k, the highest column of arm B with probability
+    # in any member (see the docstring)
+    cols = cb.nonzero()[-1]
+    order = min(int(clicks_b[cols.max()]) if cols.size else 0, n_b // 2)
+    smallest = jacobi_eigh(moments[supported][:, _hankel(order)])[:, 0]
     eigenvalues = np.full(supported.shape, np.nan)
-    eigenvalues[supported] = jacobi_eigh(moments[supported][:, _hankel(n_b)])[:, 0]
+    eigenvalues[supported] = smallest if order == n_b // 2 else np.minimum(smallest, 0.0)
 
     values = {
         "summed_click_mean": mean_a + mean_b,
@@ -227,7 +246,7 @@ def moment_matrix(jcd: JointClickDistribution, a: int) -> np.ndarray:
     moments = stack_statistics(jcd.probs).moments[a]
     if np.isnan(moments[0]):
         raise UndefinedStatisticError(f"unsupported condition: c(a={a}) = 0")
-    return moments[_hankel(jcd.bins_b)]
+    return moments[_hankel(jcd.bins_b // 2)]
 
 
 def _as_estimate(value: float, err) -> Estimate:

@@ -90,6 +90,57 @@ def test_undefined_statistics_are_nan():
         assert np.isnan(values[name][1])
 
 
+def test_stack_without_probability_is_undefined():
+    # no column of arm B carries probability, so there is no highest one to
+    # cut the moment orders at: the solve runs at order 0 on no condition
+    stacked = stack_statistics(np.zeros((2, 9, 9)))
+    assert np.isnan(stacked.eigenvalues).all()
+    assert np.isnan(stacked.values["frak_n"]).all()
+
+
+@st.composite
+def cut_stacks(draw, relation):
+    """A stack whose arm-B columns above a drawn k carry nothing, column N_B
+    included, with k below, at or above N_B//2 as ``relation`` says. Member 0
+    reaches column k and the others columns of their own at or below it;
+    some conditions are empty, condition 0 never."""
+    bins_a = draw(st.integers(2, 8))
+    bins_b = draw(st.integers(3, 16))
+    half = bins_b // 2
+    k = draw({"below": st.integers(0, half - 1), "at": st.just(half),
+              "above": st.integers(half + 1, bins_b - 1)}[relation])
+    depth = draw(st.integers(1, 3))
+    reach = [k, *draw(st.lists(st.integers(0, k), min_size=depth - 1,
+                               max_size=depth - 1))]
+    concentration = draw(st.floats(0.2, 5.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = np.zeros((depth, bins_a + 1, bins_b + 1))
+    for member, top in zip(probs, reach):
+        member[:, :top + 1] = rng.dirichlet(
+            np.full((bins_a + 1) * (top + 1), concentration)).reshape(bins_a + 1, top + 1)
+        member *= rng.random((bins_a + 1, 1)) < 0.8
+        member[0, top] += 0.1
+    return probs / probs.sum(axis=(-2, -1), keepdims=True)
+
+
+@pytest.mark.parametrize("relation", ["below", "at", "above"])
+@given(data=st.data())
+def test_order_cut_equals_full_order_solve(relation, data):
+    # the stack solves only the moment orders up to the highest column it
+    # reaches; LAPACK solves the full (N_B//2 + 1)-square moment matrix
+    probs = data.draw(cut_stacks(relation))
+    stacked = stack_statistics(probs)
+    for i, dist in enumerate(probs):
+        jcd = cs.JointClickDistribution(dist)
+        want = np.full(jcd.bins_a + 1, np.nan)
+        for a in np.flatnonzero(dist.sum(axis=-1) > 0.0):
+            want[a] = min_eigenvalue(moment_matrix(jcd, a))[0]
+        got = stacked.eigenvalues[i]
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want)) <= 1e-12
+        assert abs(stacked.values["frak_n"][i] - np.nanmin(want)) <= 1e-12
+
+
 def test_unsupported_conditions_are_masked():
     probs = np.zeros((9, 9))
     probs[0, 0] = probs[0, 1] = probs[1, 0] = probs[1, 1] = 0.25
