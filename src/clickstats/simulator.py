@@ -150,10 +150,18 @@ def joint_click_distribution(jpd: JointPhotonDistribution,
                              cfg_b: DetectorConfig) -> JointClickDistribution:
     """Exact joint click statistics: both arms measured independently,
     c(a,b) = sum_n p(n_A, n_B) K_A(a|n_A) K_B(b|n_B). Every term is
-    non-negative and kernel rows sum to 1, so c is normalised to rounding."""
-    k_a = click_kernel_matrix(jpd.max_a, cfg_a)
-    k_b = click_kernel_matrix(jpd.max_b, cfg_b)
-    return JointClickDistribution(k_a.T @ jpd.probs @ k_b)
+    non-negative and kernel rows sum to 1, so c is normalised to rounding.
+
+    Arms with equal configs (compared by value) read their kernels from one
+    chain, run to the larger photon cut and cut to each arm's own: the chain
+    is sequential, so a shorter chain's rows are a prefix of a longer one's,
+    bit for bit. Distinct configs run one chain each."""
+    n_a, n_b = jpd.max_a, jpd.max_b
+    if cfg_a == cfg_b:
+        k_a = k_b = click_kernel_matrix(max(n_a, n_b), cfg_a)
+    else:
+        k_a, k_b = click_kernel_matrix(n_a, cfg_a), click_kernel_matrix(n_b, cfg_b)
+    return JointClickDistribution(k_a[:n_a + 1].T @ jpd.probs @ k_b[:n_b + 1])
 
 
 def check_sampling(shots: int, seed: int) -> None:

@@ -248,7 +248,8 @@ def test_fock_click_kernel_is_a_kernel_row():
 
 
 def test_joint_distribution_has_no_negative_mass():
-    # the exact-sweep settings where the alternating series went negative
+    # the exact-sweep settings where the alternating series went negative,
+    # by hand and through both paths of joint_click_distribution
     for bins in (8, 16, 32):
         cfg = cs.DetectorConfig(bins, 0.5, 1e-4)
         for spec in (cs.StateSpec.coherent(0.5, 0.5), cs.StateSpec.tmsv(0.5)):
@@ -256,6 +257,53 @@ def test_joint_distribution_has_no_negative_mass():
             k_a = click_kernel_matrix(jpd.max_a, cfg)
             k_b = click_kernel_matrix(jpd.max_b, cfg)
             assert np.all(k_a.T @ jpd.probs @ k_b >= 0.0)
+            for cfg_b in (cfg, cs.DetectorConfig(bins, 0.3, 1e-4)):
+                assert np.all(cs.joint_click_distribution(jpd, cfg, cfg_b).probs >= 0.0)
+
+
+SHARED_CHAIN_STATES = [cs.StateSpec.coherent(3.0, 0.001), cs.StateSpec.coherent(0.001, 3.0),
+                       cs.StateSpec.tmsv(0.5), cs.StateSpec.split_photon(0.6)]
+
+
+@pytest.mark.parametrize("bins", [2, 8, 16, MAX_BINS])
+@pytest.mark.parametrize("spec", SHARED_CHAIN_STATES,
+                         ids=["coherent-3-0.001", "coherent-0.001-3", "tmsv", "split"])
+def test_shared_chain_equals_one_chain_per_arm(spec, bins):
+    # equal arms read both kernels from one chain; the product is the one of
+    # two chains cut at each arm's own photon number, byte for byte, on square
+    # and non-square photon matrices (Poisson cuts longer on either arm)
+    cfg = cs.DetectorConfig(bins, 0.45, 1e-3)
+    jpd = cs.build_photon_distribution(spec)
+    expected = (click_kernel_matrix(jpd.max_a, cfg).T @ jpd.probs
+                @ click_kernel_matrix(jpd.max_b, cfg))
+    for cfg_b in (cfg, cs.DetectorConfig(bins, 0.45, 1e-3)):
+        got = cs.joint_click_distribution(jpd, cfg, cfg_b).probs
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cfg_b,chains", [
+    (None, 1),
+    (cs.DetectorConfig(8, 0.5, 1e-4), 1),
+    (cs.DetectorConfig(16, 0.5, 1e-4), 2),
+    (cs.DetectorConfig(8, 0.6, 1e-4), 2),
+    (cs.DetectorConfig(8, 0.5, 2e-4), 2),
+], ids=["shared", "equal", "bins", "eta", "nu"])
+def test_equal_configs_build_one_chain(monkeypatch, cfg_b, chains):
+    # configs are compared by value: cmd_simulate builds two equal objects
+    cfg_a = cs.DetectorConfig(8, 0.5, 1e-4)
+    calls = []
+
+    def counting(n_max, cfg):
+        calls.append((n_max, cfg))
+        return click_kernel_matrix(n_max, cfg)
+
+    monkeypatch.setattr(cs.simulator, "click_kernel_matrix", counting)
+    jpd = cs.build_photon_distribution(cs.StateSpec.coherent(3.0, 0.001))
+    cs.joint_click_distribution(jpd, cfg_a, cfg_a if cfg_b is None else cfg_b)
+    assert len(calls) == chains
+    if chains == 1:
+        assert calls[0][0] == max(jpd.max_a, jpd.max_b)
 
 
 def test_mean_clicks_monotone_in_efficiency():
