@@ -13,9 +13,10 @@ import numpy as np
 
 NORMALIZATION_TOL = 1e-9
 # Largest bin count per arm. A bootstrap chunk gathers a (k, R, N/2+1, N/2+1)
-# moment-matrix stack on the R populated rows, with k = 64 (N+1) // R, so
-# k R <= 64 (N+1) bounds it at the full grid's: 279 MB at 128 bins, 2.2 GB
-# at 256.
+# float64 moment-matrix stack on the R populated rows, with k the most
+# replicates that fit in uncertainty.CHUNK_BYTES (4 MiB), and at least 1. So
+# the stack holds at most 4 MiB or one full-grid replicate, 8 (N+1)(N/2+1)^2
+# bytes: 4.4 MB at 128 bins, 34 MB at 256.
 MAX_BINS = 128
 INT64_MAX = np.iinfo(np.int64).max
 

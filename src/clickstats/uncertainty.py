@@ -37,22 +37,21 @@ from .model import CountMatrix, ValidationError, as_int
 STATISTICS: dict = {name: partial(criteria.statistic, name=name)
                     for name in criteria.WHY_UNDEFINED}
 
-# Replicates are drawn and scored CHUNK * (N_A + 1) // (support rows) at a
-# time: the conditions of CHUNK full-grid replicates, which bounds the memory
-# a bootstrap holds at large bin counts.
-CHUNK = 64
+# Replicates are drawn and scored in chunks whose moment-matrix stack, one
+# (N_B//2 + 1)-square float64 matrix per support row and replicate, holds at
+# most CHUNK_BYTES; a chunk holds at least one replicate.
+CHUNK_BYTES = 4 << 20
 
 MAX_DROP_FRACTION = 0.5
 
 # numpy's SeedSequence hash and mix constants (32-bit words, pool of 4) and
-# PCG64's 128-bit LCG multiplier
+# PCG64's 128-bit LCG multiplier, as high and low 64-bit words
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 
 
 @dataclass(frozen=True)
@@ -99,15 +98,25 @@ def _hashmix(value, const: int, mult: int):
     return value ^ value >> 16, const_next
 
 
+def _mul_hi(a, b):
+    """High 64 bits of the 128-bit products of uint64 arrays, from their
+    32-bit halves; numpy's own product keeps the low 64."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    low_top, cross_a, cross_b = a0 * b0 >> 32, a1 * b0, a0 * b1
+    middle = low_top + (cross_a & _MASK32) + (cross_b & _MASK32)
+    return a1 * b1 + (cross_a >> 32) + (cross_b >> 32) + (middle >> 32)
+
+
 def _child_states(seed: int, count: int):
     """Yield ``np.random.PCG64(child).state`` for the first ``count``
     (< 2**32) children of ``SeedSequence(seed).spawn``, without building them.
 
     A child's entropy is its parent's, then its spawn index, so every child
     starts from ``SeedSequence(seed).pool``. Only the spawn index is mixed
-    here, and ``generate_state(4, uint64)`` run, on an array of all children;
-    PCG64's seeding step runs on Python ints. The hash constant advances once
-    per hash, 4 * max(4, words) times over the seed's 32-bit words.
+    here, ``generate_state(4, uint64)`` run and PCG64 seeded, on arrays of
+    all children; a 128-bit number is a (high, low) pair of uint64 words.
+    The hash constant advances once per hash, 4 * max(4, words) times over
+    the seed's 32-bit words.
     """
     words = max(1, -(-seed.bit_length() // 32))
     const = _INIT_A * pow(_MULT_A, 4 * max(_POOL, words), 1 << 32) & _MASK32
@@ -123,14 +132,24 @@ def _child_states(seed: int, count: int):
     for i in range(8):
         value, const = _hashmix(pool[i % _POOL], const, _MULT_B)
         halves.append(value)
-    # little-endian pairs of 32-bit words: seed = (u0, u1), stream = (u2, u3)
-    u = np.stack([halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)], axis=1)
+    # little-endian pairs of 32-bit words: seed = (u0, u1), stream = (u2, u3),
+    # each (high, low)
+    seed_hi, seed_lo, stream_hi, stream_lo = (halves[2 * k] | halves[2 * k + 1] << 32
+                                              for k in range(4))
     # PCG64 seeding: inc = 2 * stream + 1, then two LCG steps from state 0
-    # with the seed added in between
-    for seed_hi, seed_lo, inc_hi, inc_lo in u.tolist():
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+    # with the seed added in between, state = (inc + seed) * MULT + inc
+    # mod 2**128; a low word that wraps below its addend carries 1 into the
+    # high word
+    inc_hi, inc_lo = stream_hi << 1 | stream_lo >> 63, stream_lo << 1 | 1
+    sum_lo = inc_lo + seed_lo
+    sum_hi = inc_hi + seed_hi + (sum_lo < inc_lo)
+    state_lo = sum_lo * _PCG_MULT_LO + inc_lo
+    state_hi = (_mul_hi(sum_lo, _PCG_MULT_LO) + sum_lo * _PCG_MULT_HI
+                + sum_hi * _PCG_MULT_LO + inc_hi + (state_lo < inc_lo))
+    for hi, lo, inc_h, inc_l in zip(state_hi.tolist(), state_lo.tolist(),
+                                    inc_hi.tolist(), inc_lo.tolist()):
+        yield {"bit_generator": "PCG64",
+               "state": {"state": hi << 64 | lo, "inc": inc_h << 64 | inc_l},
                "has_uint32": 0, "uinteger": 0}
 
 
@@ -143,9 +162,11 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
     One PCG64 is loaded with each child's state in turn before its draw.
     Draws and scores run on the support grid (see the module docstring), so
     their cost follows the populated rows and columns, not N_A and N_B.
-    Replicates are scored by criteria.stack_statistics in chunks that hold
-    as many conditions as CHUNK full-grid replicates; a statistic is dropped
-    from the replicates on which it is undefined (NaN).
+    Replicates are scored by criteria.stack_statistics in chunks whose
+    moment matrices, one (N_B//2 + 1)-square float64 matrix per support row
+    and replicate, fit in CHUNK_BYTES, or of one replicate where a single
+    one does not; a statistic is dropped from the replicates on which it is
+    undefined (NaN).
     """
     total = counts.total
     # the support grid: rows and columns with a count, and always the last
@@ -154,7 +175,8 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
     clicks = np.flatnonzero(keep_a), np.flatnonzero(keep_b)
     support = counts.counts[keep_a][:, keep_b]
     pflat = support.ravel() / total
-    chunk = CHUNK * keep_a.size // clicks[0].size
+    n_b = keep_b.size - 1
+    chunk = max(1, CHUNK_BYTES // (8 * clicks[0].size * (n_b // 2 + 1) ** 2))
 
     # the seed is a placeholder: every draw first loads a child's state
     bit_generator = np.random.PCG64(0)

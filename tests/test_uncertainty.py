@@ -4,13 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import clickstats as cs
-from clickstats import criteria
+from clickstats import criteria, uncertainty
 from clickstats.criteria import stack_statistics
 from clickstats.model import UndefinedStatisticError, ValidationError
-from clickstats.uncertainty import (CHUNK, STATISTICS, BootstrapConfig,
-                                    _child_states, bootstrap)
+from clickstats.uncertainty import STATISTICS, BootstrapConfig, _child_states, bootstrap
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipebench"))
 
@@ -47,12 +47,24 @@ def test_config_validation():
     assert bootstrap(counts, config) == bootstrap(counts, BootstrapConfig(10, 2**64 - 1))
 
 
-@pytest.mark.parametrize("replicates", [1, 2, CHUNK + 1])
+@pytest.mark.parametrize("replicates", [1, 2, 65])
 @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**100 + 3, 2**160 + 3])
 def test_child_states_equal_spawned_generators(seed, replicates):
     children = np.random.SeedSequence(seed).spawn(replicates)
     assert list(_child_states(seed, replicates)) == [np.random.PCG64(c).state
                                                      for c in children]
+
+
+@given(seed=st.integers(0, 2**256 - 1), count=st.integers(1, 300))
+# seeds of two, four, six and eight 32-bit words
+@example(seed=2**32 + 5, count=1)
+@example(seed=2**100 + 3, count=300)
+@example(seed=2**160 + 3, count=65)
+@example(seed=2**256 - 1, count=300)
+def test_child_states_equal_spawned_generators_for_any_seed(seed, count):
+    children = np.random.SeedSequence(seed).spawn(count)
+    assert list(_child_states(seed, count)) == [np.random.PCG64(c).state
+                                                for c in children]
 
 
 def test_determinism():
@@ -146,10 +158,11 @@ def holed_counts(last_cell=7, empty_last_row=False):
     return cs.CountMatrix(counts)
 
 
-def grid_counts(rows, cols, last_cell=0, seed=35):
-    """Counts on the given rows and columns of a 9x9 matrix, every cell of
-    that grid non-zero, and ``last_cell`` counts at (a, b) = (8, 8)."""
-    counts = np.zeros((9, 9), dtype=np.int64)
+def grid_counts(rows, cols, last_cell=0, seed=35, bins=8):
+    """Counts on the given rows and columns of a (bins+1)-square matrix,
+    every cell of that grid non-zero, and ``last_cell`` counts at
+    (a, b) = (bins, bins)."""
+    counts = np.zeros((bins + 1, bins + 1), dtype=np.int64)
     counts[np.ix_(rows, cols)] = np.random.default_rng(seed).integers(
         1, 40, size=(len(rows), len(cols)))
     counts[-1, -1] += last_cell
@@ -166,28 +179,43 @@ SUPPORT_GRIDS = {
 }
 
 
+def matrix_bytes(rows, bins=8):
+    """Bytes of one replicate's moment matrices on a support grid of
+    ``rows`` rows: one (bins//2 + 1)-square float64 matrix per row."""
+    return 8 * rows * (bins // 2 + 1) ** 2
+
+
+# A budget of the moment matrices of 64 full-grid replicates at 8 bins: a
+# chunk then holds 64 replicates when all 9 rows are populated, and
+# 64 * 9 // rows on fewer rows.
+SMALL_CHUNK_BYTES = 64 * matrix_bytes(9)
+
+
 def support_chunk(rows):
-    """Replicates per chunk on a support grid of ``rows`` rows at 8 bins:
-    CHUNK * (N_A + 1) // rows, so CHUNK when every row is populated."""
-    return CHUNK * 9 // rows
+    """Replicates per chunk on a support grid of ``rows`` rows at 8 bins,
+    under SMALL_CHUNK_BYTES."""
+    return SMALL_CHUNK_BYTES // matrix_bytes(rows)
 
 
 # Below this, a standard error of an O(1) statistic is rounding, not spread.
 ROUNDING_SPREAD = 1e-14
 
 
+# Replicate counts run under SMALL_CHUNK_BYTES, so that they fill a chunk or
+# spill one replicate into the next.
 @pytest.mark.parametrize("make_counts, replicates, seed", [
-    *(pytest.param(tmsv_counts, n, 32, id=str(n)) for n in (2, CHUNK, CHUNK + 1, 300)),
-    pytest.param(holed_counts, CHUNK + 1, 32, id="interior-zeros"),
-    pytest.param(lambda: holed_counts(last_cell=0), CHUNK + 1, 32, id="zero-last-cell"),
-    pytest.param(lambda: holed_counts(last_cell=0, empty_last_row=True), CHUNK + 1, 32,
+    *(pytest.param(tmsv_counts, n, 32, id=str(n)) for n in (2, 64, 65, 300)),
+    pytest.param(holed_counts, 65, 32, id="interior-zeros"),
+    pytest.param(lambda: holed_counts(last_cell=0), 65, 32, id="zero-last-cell"),
+    pytest.param(lambda: holed_counts(last_cell=0, empty_last_row=True), 65, 32,
                  id="zero-last-row"),
-    pytest.param(tmsv_counts, CHUNK + 1, 2**100 + 3, id="multi-word-seed"),
+    pytest.param(tmsv_counts, 65, 2**100 + 3, id="multi-word-seed"),
     # one full chunk, and one replicate into the next
     *(pytest.param(make, support_chunk(shape[0]) + offset, 32, id=f"{name}-chunk{offset:+d}")
       for name, (make, shape) in SUPPORT_GRIDS.items() for offset in (0, 1)),
 ])
-def test_chunked_bootstrap_matches_serial_replay(make_counts, replicates, seed):
+def test_chunked_bootstrap_matches_serial_replay(make_counts, replicates, seed, monkeypatch):
+    monkeypatch.setattr(uncertainty, "CHUNK_BYTES", SMALL_CHUNK_BYTES)
     counts = make_counts()
     boot_cfg = BootstrapConfig(replicates=replicates, seed=seed)
     batched = bootstrap(counts, boot_cfg)
@@ -241,11 +269,17 @@ def test_bootstrap_matches_reference(state, eta, shots, bins):
             assert math.isclose(got[name].stderr, stderr, rel_tol=1e-10), name
 
 
-@pytest.mark.parametrize("name", SUPPORT_GRIDS)
-def test_chunks_stay_within_the_full_grid_bound(name, monkeypatch):
-    # every chunk is scored on the support grid, and no chunk holds more
-    # conditions than CHUNK replicates of the full grid
-    make_counts, shape = SUPPORT_GRIDS[name]
+@pytest.mark.parametrize("make_counts, shape, bins", [
+    *(pytest.param(make, shape, 8, id=name) for name, (make, shape) in SUPPORT_GRIDS.items()),
+    # 129 rows of 65 x 65 matrices: one replicate alone is over the budget
+    pytest.param(lambda: grid_counts(range(129), [0, 2], bins=128), (129, 3), 128,
+                 id="every-row-128"),
+])
+def test_chunks_stay_within_the_byte_budget(make_counts, shape, bins, monkeypatch):
+    # every chunk is scored on the support grid and holds the most replicates
+    # whose moment matrices fit in CHUNK_BYTES, or one replicate where a
+    # single one does not fit
+    chunk = max(1, uncertainty.CHUNK_BYTES // matrix_bytes(shape[0], bins))
     shapes = []
 
     def record(probs, clicks):
@@ -253,7 +287,5 @@ def test_chunks_stay_within_the_full_grid_bound(name, monkeypatch):
         return stack_statistics(probs, clicks)
 
     monkeypatch.setattr(criteria, "stack_statistics", record)
-    chunk = support_chunk(shape[0])
-    bootstrap(make_counts(), BootstrapConfig(replicates=2 * chunk + 1, seed=3))
-    assert shapes == [(chunk, *shape), (chunk, *shape), (1, *shape)]
-    assert chunk * shape[0] <= CHUNK * 9
+    bootstrap(make_counts(), BootstrapConfig(replicates=chunk + 1, seed=3))
+    assert shapes == [(chunk, *shape), (1, *shape)]
