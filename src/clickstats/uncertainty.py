@@ -9,9 +9,9 @@ quantities without any delta-method approximations.
 The random stream is part of the contract: replicate i is the one multinomial
 draw of the full shot count made by ``np.random.default_rng(child)``, where
 ``child`` is the i-th of ``np.random.SeedSequence(seed).spawn(replicates)``.
-The bootstrap reproduces that stream bit for bit without building the
-per-child objects: it mixes only the spawn indices into the pool numpy mixes
-from the seed, and loads each child's PCG64 state into one generator.
+The bootstrap reproduces that stream bit for bit without spawning: it mixes
+only the spawn indices into the pool numpy mixes from the seed, and numpy
+seeds each child's PCG64 from the four words the child would generate.
 
 Each replicate is drawn and scored on the count matrix's support grid only:
 the rows and columns with at least one count, and always row N_A and column
@@ -44,18 +44,18 @@ CHUNK_BYTES = 4 << 20
 
 MAX_DROP_FRACTION = 0.5
 
-# numpy's SeedSequence hash and mix constants (32-bit words, pool of 4) and
-# PCG64's 128-bit LCG multiplier, as high and low 64-bit words
+# numpy's SeedSequence hash and mix constants (32-bit words, pool of 4)
 _MASK32 = 0xFFFFFFFF
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 
 
 @dataclass(frozen=True)
 class BootstrapConfig:
+    """``statistics`` selects the standard errors bootstrap returns; every
+    replicate still scores all of STATISTICS."""
     replicates: int = 1000
     seed: int = 0
     statistics: tuple = tuple(STATISTICS)
@@ -98,26 +98,25 @@ def _hashmix(value, const: int, mult: int):
     return value ^ value >> 16, const_next
 
 
-def _mul_hi(a, b):
-    """High 64 bits of the 128-bit products of uint64 arrays, from their
-    32-bit halves; numpy's own product keeps the low 64."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    low_top, cross_a, cross_b = a0 * b0 >> 32, a1 * b0, a0 * b1
-    middle = low_top + (cross_a & _MASK32) + (cross_b & _MASK32)
-    return a1 * b1 + (cross_a >> 32) + (cross_b >> 32) + (middle >> 32)
-
-
-def _child_states(seed: int, count: int):
-    """Yield ``np.random.PCG64(child).state`` for the first ``count``
-    (< 2**32) children of ``SeedSequence(seed).spawn``, without building them.
+def _child_generators(seed: int, count: int):
+    """Yield ``np.random.default_rng(child)`` for the first ``count``
+    (< 2**32) children of ``SeedSequence(seed).spawn``, without spawning them.
 
     A child's entropy is its parent's, then its spawn index, so every child
     starts from ``SeedSequence(seed).pool``. Only the spawn index is mixed
-    here, ``generate_state(4, uint64)`` run and PCG64 seeded, on arrays of
-    all children; a 128-bit number is a (high, low) pair of uint64 words.
-    The hash constant advances once per hash, 4 * max(4, words) times over
-    the seed's 32-bit words.
+    here and ``generate_state(4, uint64)`` run, on arrays of all children;
+    numpy's PCG64 seeds itself from those words. The hash constant advances
+    once per hash, 4 * max(4, words) times over the seed's 32-bit words.
     """
+    # a child, reduced to the four words PCG64 asks it for; defined here, as
+    # a subclass at module level would load numpy.random on import
+    class Child(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
     words = max(1, -(-seed.bit_length() // 32))
     const = _INIT_A * pow(_MULT_A, 4 * max(_POOL, words), 1 << 32) & _MASK32
     pool = [int(word) for word in np.random.SeedSequence(seed).pool]
@@ -132,25 +131,9 @@ def _child_states(seed: int, count: int):
     for i in range(8):
         value, const = _hashmix(pool[i % _POOL], const, _MULT_B)
         halves.append(value)
-    # little-endian pairs of 32-bit words: seed = (u0, u1), stream = (u2, u3),
-    # each (high, low)
-    seed_hi, seed_lo, stream_hi, stream_lo = (halves[2 * k] | halves[2 * k + 1] << 32
-                                              for k in range(4))
-    # PCG64 seeding: inc = 2 * stream + 1, then two LCG steps from state 0
-    # with the seed added in between, state = (inc + seed) * MULT + inc
-    # mod 2**128; a low word that wraps below its addend carries 1 into the
-    # high word
-    inc_hi, inc_lo = stream_hi << 1 | stream_lo >> 63, stream_lo << 1 | 1
-    sum_lo = inc_lo + seed_lo
-    sum_hi = inc_hi + seed_hi + (sum_lo < inc_lo)
-    state_lo = sum_lo * _PCG_MULT_LO + inc_lo
-    state_hi = (_mul_hi(sum_lo, _PCG_MULT_LO) + sum_lo * _PCG_MULT_HI
-                + sum_hi * _PCG_MULT_LO + inc_hi + (state_lo < inc_lo))
-    for hi, lo, inc_h, inc_l in zip(state_hi.tolist(), state_lo.tolist(),
-                                    inc_hi.tolist(), inc_lo.tolist()):
-        yield {"bit_generator": "PCG64",
-               "state": {"state": hi << 64 | lo, "inc": inc_h << 64 | inc_l},
-               "has_uint32": 0, "uinteger": 0}
+    # little-endian pairs of 32-bit words, one row of four uint64 per child
+    for row in np.stack([halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2)], 1):
+        yield np.random.default_rng(Child(row))
 
 
 def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapStat]:
@@ -159,7 +142,6 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
     Replicate i is the draw of a generator built from the i-th
     ``SeedSequence(cfg.seed).spawn`` child (see the module docstring), so a
     parallel split of the replicate loop would reproduce the serial result.
-    One PCG64 is loaded with each child's state in turn before its draw.
     Draws and scores run on the support grid (see the module docstring), so
     their cost follows the populated rows and columns, not N_A and N_B.
     Replicates are scored by criteria.stack_statistics in chunks whose
@@ -178,15 +160,11 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
     n_b = keep_b.size - 1
     chunk = max(1, CHUNK_BYTES // (8 * clicks[0].size * (n_b // 2 + 1) ** 2))
 
-    # the seed is a placeholder: every draw first loads a child's state
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    states = _child_states(cfg.seed, cfg.replicates)
+    children = _child_generators(cfg.seed, cfg.replicates)
     samples: dict[str, list] = {name: [] for name in cfg.statistics}
     for start in range(0, cfg.replicates, chunk):
         draws = np.empty((min(chunk, cfg.replicates - start), pflat.size), dtype=np.int64)
-        for row, state in zip(draws, states):
-            bit_generator.state = state
+        for row, rng in zip(draws, children):
             row[:] = rng.multinomial(total, pflat)
         scored = criteria.stack_statistics(draws.reshape(-1, *support.shape) / total,
                                            clicks).values

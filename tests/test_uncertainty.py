@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import clickstats as cs
 from clickstats import criteria, uncertainty
 from clickstats.criteria import stack_statistics
 from clickstats.model import UndefinedStatisticError, ValidationError
-from clickstats.uncertainty import STATISTICS, BootstrapConfig, _child_states, bootstrap
+from clickstats.uncertainty import STATISTICS, BootstrapConfig, _child_generators, bootstrap
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipebench"))
 
@@ -31,7 +33,7 @@ def test_config_validation():
         BootstrapConfig(statistics=("no_such_stat",))
     with pytest.raises(ValidationError, match="seed"):
         BootstrapConfig(seed=-1)
-    # _child_states mixes each spawn index as one 32-bit word
+    # _child_generators mixes each spawn index as one 32-bit word
     with pytest.raises(ValidationError, match="replicates must be below 2\\^32"):
         BootstrapConfig(replicates=2**32)
     assert BootstrapConfig(replicates=2**32 - 1).replicates == 2**32 - 1
@@ -51,8 +53,8 @@ def test_config_validation():
 @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**100 + 3, 2**160 + 3])
 def test_child_states_equal_spawned_generators(seed, replicates):
     children = np.random.SeedSequence(seed).spawn(replicates)
-    assert list(_child_states(seed, replicates)) == [np.random.PCG64(c).state
-                                                     for c in children]
+    assert ([g.bit_generator.state for g in _child_generators(seed, replicates)]
+            == [np.random.PCG64(c).state for c in children])
 
 
 @given(seed=st.integers(0, 2**256 - 1), count=st.integers(1, 300))
@@ -63,8 +65,19 @@ def test_child_states_equal_spawned_generators(seed, replicates):
 @example(seed=2**256 - 1, count=300)
 def test_child_states_equal_spawned_generators_for_any_seed(seed, count):
     children = np.random.SeedSequence(seed).spawn(count)
-    assert list(_child_states(seed, count)) == [np.random.PCG64(c).state
-                                                for c in children]
+    assert ([g.bit_generator.state for g in _child_generators(seed, count)]
+            == [np.random.PCG64(c).state for c in children])
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy loads numpy.random lazily, for about 6 MB of RSS; the exact
+    # criteria never draw, so importing the package and its CLI must not
+    # load it (a module-level seed-sequence subclass would)
+    code = "import sys, clickstats, clickstats.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cs.__file__).parents[1])},
+                          check=True)
+    assert done.stdout == "False\n"
 
 
 def test_determinism():
