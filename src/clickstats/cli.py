@@ -167,7 +167,7 @@ def cmd_simulate(args) -> int:
                        "nu": cfg_b.dark_click},
     }
     with open(str(args.counts_out) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, allow_nan=False)
+        fh.write(json.dumps(meta, indent=2, allow_nan=False))
     print(f"wrote {args.counts_out} ({args.shots} shots, seed {seed})")
     return EXIT_OK
 
@@ -193,6 +193,7 @@ def cmd_analyze(args) -> int:
         label=args.label or parameters.get("label") or Path(args.counts).stem,
         condition_counts=tuple(int(v) for v in counts.counts.sum(axis=1)))
 
+    # json.dump, not one write of json.dumps: pipebench times it as cli.write_report_s
     with open(args.report_out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
     print(f"wrote {args.report_out}")

@@ -10,8 +10,9 @@ The random stream is part of the contract: replicate i is the one multinomial
 draw of the full shot count made by ``np.random.default_rng(child)``, where
 ``child`` is the i-th of ``np.random.SeedSequence(seed).spawn(replicates)``.
 The bootstrap reproduces that stream bit for bit without spawning: it mixes
-only the spawn indices into the pool numpy mixes from the seed, and numpy
-seeds each child's PCG64 from the four words the child would generate.
+only the spawn indices into the pool numpy mixes from the seed, and one seed
+source hands each new PCG64 the four words its child would generate, which
+PCG64 asks for once, when it is built.
 
 Each replicate is drawn and scored on the count matrix's support grid only:
 the rows and columns with at least one count, and always row N_A and column
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -99,24 +101,17 @@ def _hashmix(value, const: int, mult: int):
 
 
 def _child_generators(seed: int, count: int):
-    """Yield ``np.random.default_rng(child)`` for the first ``count``
+    """An iterator of ``np.random.default_rng(child)`` for the first ``count``
     (< 2**32) children of ``SeedSequence(seed).spawn``, without spawning them.
 
     A child's entropy is its parent's, then its spawn index, so every child
     starts from ``SeedSequence(seed).pool``. Only the spawn index is mixed
-    here and ``generate_state(4, uint64)`` run, on arrays of all children;
-    numpy's PCG64 seeds itself from those words. The hash constant advances
+    here and ``generate_state(4, uint64)`` run, on arrays of all children.
+    PCG64 asks its seed sequence for four words once, when it is built, so
+    one seed source hands each new PCG64 the next child's words; a generator
+    that never draws still uses its child up. The hash constant advances
     once per hash, 4 * max(4, words) times over the seed's 32-bit words.
     """
-    # a child, reduced to the four words PCG64 asks it for; defined here, as
-    # a subclass at module level would load numpy.random on import
-    class Child(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
     words = max(1, -(-seed.bit_length() // 32))
     const = _INIT_A * pow(_MULT_A, 4 * max(_POOL, words), 1 << 32) & _MASK32
     pool = [int(word) for word in np.random.SeedSequence(seed).pool]
@@ -132,21 +127,27 @@ def _child_generators(seed: int, count: int):
         value, const = _hashmix(pool[i % _POOL], const, _MULT_B)
         halves.append(value)
     # little-endian pairs of 32-bit words, one row of four uint64 per child
-    for row in np.stack([halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2)], 1):
-        yield np.random.default_rng(Child(row))
+    rows = iter(np.stack([halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2)], 1))
+
+    # defined here, as a subclass at module level would load numpy.random on import
+    class Source(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return next(rows)
+
+    return map(np.random.Generator, map(np.random.PCG64, repeat(Source(), count)))
 
 
 def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapStat]:
     """Multinomial bootstrap of the count matrix; deterministic per seed.
 
-    Replicate i is the draw of a generator built from the i-th
-    ``SeedSequence(cfg.seed).spawn`` child (see the module docstring), so a
-    parallel split of the replicate loop would reproduce the serial result.
-    Draws and scores run on the support grid (see the module docstring), so
-    their cost follows the populated rows and columns, not N_A and N_B.
-    Replicates are scored by criteria.stack_statistics in chunks whose
-    moment matrices, one (N_B//2 + 1)-square float64 matrix per support row
-    and replicate, fit in CHUNK_BYTES, or of one replicate where a single
+    Replicate i is drawn by a generator seeded from the i-th
+    ``SeedSequence(cfg.seed).spawn`` child, which its spawn index alone
+    defines, so a parallel split of the replicate loop would reproduce the
+    serial result. Draws and scores run on the support grid (see the module
+    docstring), so their cost follows the populated rows and columns, not N_A
+    and N_B. Replicates are scored by criteria.stack_statistics in chunks
+    whose moment matrices, one (N_B//2 + 1)-square float64 matrix per support
+    row and replicate, fit in CHUNK_BYTES, or of one replicate where a single
     one does not; a statistic is dropped from the replicates on which it is
     undefined (NaN).
     """
@@ -162,10 +163,8 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
 
     children = _child_generators(cfg.seed, cfg.replicates)
     samples: dict[str, list] = {name: [] for name in cfg.statistics}
-    for start in range(0, cfg.replicates, chunk):
-        draws = np.empty((min(chunk, cfg.replicates - start), pflat.size), dtype=np.int64)
-        for row, rng in zip(draws, children):
-            row[:] = rng.multinomial(total, pflat)
+    for _ in range(0, cfg.replicates, chunk):
+        draws = np.array([rng.multinomial(total, pflat) for rng in islice(children, chunk)])
         scored = criteria.stack_statistics(draws.reshape(-1, *support.shape) / total,
                                            clicks).values
         for name in cfg.statistics:

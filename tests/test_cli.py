@@ -468,6 +468,18 @@ def test_analyze_reproducible(tmp_path):
     assert paths[0].read_text() == paths[1].read_text()
 
 
+def test_json_files_keep_their_layout(tmp_path):
+    """The sidecar and the report are indented by two spaces, keep their key
+    order and end without a newline."""
+    counts = simulate_sp(tmp_path)
+    report = tmp_path / "report.json"
+    assert run(["analyze", "--counts", counts, "--replicates", 20, "--seed", 3,
+                "--report-out", report]) == 0
+    for path in (Path(f"{counts}.meta.json"), report):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2)
+
+
 def test_report_table(tmp_path, capsys):
     counts = simulate_sp(tmp_path)
     report_path = tmp_path / "report.json"

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,20 @@ def test_child_states_equal_spawned_generators(seed, replicates):
     children = np.random.SeedSequence(seed).spawn(replicates)
     assert ([g.bit_generator.state for g in _child_generators(seed, replicates)]
             == [np.random.PCG64(c).state for c in children])
+    # taken in islice chunks of 1, 2 and the rest, as bootstrap takes them,
+    # drawing from each chunk's first generator before the next chunk: a
+    # generator that is built and never drawn from still uses up its child
+    generators = _child_generators(seed, replicates)
+    spawned = [np.random.default_rng(c) for c in children]
+    taken = []
+    for size in (1, 2, None):
+        chunk = list(islice(generators, size))
+        if chunk:
+            for rng in (chunk[0], spawned[len(taken)]):
+                rng.multinomial(10**6, [0.5, 0.5])
+        taken += chunk
+    assert ([g.bit_generator.state for g in taken]
+            == [g.bit_generator.state for g in spawned])
 
 
 @given(seed=st.integers(0, 2**256 - 1), count=st.integers(1, 300))
