@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (CriteriaReport, Estimate, JointClickDistribution,
-                    UndefinedStatisticError, ValidationError, Verdict, as_int)
+                    UndefinedStatisticError, ValidationError, Verdict, as_int, as_real)
 
 # The statistics of a stack, each with the reason it can be undefined.
 WHY_UNDEFINED = {
@@ -273,13 +273,7 @@ def _as_verdict(margin: float, err, threshold: float) -> Verdict:
 def check_threshold(threshold) -> float:
     """A verdict threshold, in standard errors, as the float the report's JSON
     holds: a real number (a bool is none), finite and positive."""
-    if isinstance(threshold, bool) or not isinstance(
-            threshold, (int, float, np.integer, np.floating)):
-        raise ValidationError(f"threshold must be a real number, got {threshold!r}")
-    try:
-        value = float(threshold)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
+    value = as_real("threshold", threshold)
     if not (math.isfinite(value) and value > 0.0):
         raise ValidationError(f"threshold must be finite and > 0, got {threshold!r}")
     return value

@@ -57,6 +57,17 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def as_real(name: str, value) -> float:
+    """``value`` as a Python float if it is an int or a float, Python's or numpy's
+    (a bool is neither), else ValidationError; an int past the float range is ±inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_matrix(arr: np.ndarray, what: str) -> None:
     if arr.ndim != 2 or not all(3 <= size <= MAX_BINS + 1 for size in arr.shape):
         raise ValidationError(f"{what} must be a 2-d matrix with bins in "
@@ -92,6 +103,8 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bins", as_int("bins", self.bins))
+        for name in ("efficiency", "dark_click"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if not 2 <= self.bins <= MAX_BINS:
             raise ValidationError(f"bins must be in [2, {MAX_BINS}], got {self.bins}")
         if not 0.0 <= self.efficiency <= 1.0:

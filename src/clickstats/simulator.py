@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (INT64_MAX, CountMatrix, DetectorConfig, JointClickDistribution,
-                    JointPhotonDistribution, ValidationError, as_int)
+                    JointPhotonDistribution, ValidationError, as_int, as_real)
 
 TAIL_MASS = 1e-12
 # Largest coherent mean photon number: exp(-mean), the vacuum weight the
@@ -46,6 +46,8 @@ class StateSpec:
     splitting: float = 0.0   # t for split_photon, in (0, 1)
 
     def __post_init__(self) -> None:
+        for name in ("mean_a", "mean_b", "squeezing", "splitting"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if self.variant == "coherent":
             if not all(0.0 <= m <= MAX_COHERENT_MEAN for m in (self.mean_a, self.mean_b)):
                 raise ValidationError(

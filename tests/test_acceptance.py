@@ -12,6 +12,8 @@ from clickstats.criteria import mean, moment_matrix, moment_weights, variance
 from clickstats.simulator import click_kernel_matrix
 from clickstats.uncertainty import BootstrapConfig, bootstrap
 
+from exact import (coherent_mixture, coherent_product_jcd, exact_jcd, ideal_split_photon_jcd,
+                   tmsv_jcd)
 from oracles import (covariance, criterion_margins, enumerate_click_kernel, marginals,
                      min_eigenvalue, random_click_distribution, tmsv_click_distribution)
 
@@ -21,11 +23,6 @@ SP_FRAK_N = (1.0 - math.sqrt(17.0 / 16.0)) / 2.0
 def _report(number, description, ok):
     print(f"ACCEPTANCE {number} [{'PASS' if ok else 'FAIL'}] {description}")
     return ok
-
-
-def _exact_jcd(spec, eta, nu, bins=8):
-    cfg = cs.DetectorConfig(bins, eta, nu)
-    return cs.joint_click_distribution(cs.build_photon_distribution(spec), cfg, cfg)
 
 
 def test_criterion_1_kernel_enumeration_oracle():
@@ -67,7 +64,7 @@ def test_criterion_2_moment_identities():
 
 
 def test_criterion_3_ideal_split_photon():
-    jcd = _exact_jcd(cs.StateSpec.split_photon(2 ** -0.5), eta=1.0, nu=0.0)
+    jcd = ideal_split_photon_jcd()
     checks = {
         "kappa": (cs.statistic(jcd, "kappa"), 1.0),
         "kappa_cl_max": (cs.statistic(jcd, "kappa_cl_max"), -0.75),
@@ -81,7 +78,7 @@ def test_criterion_3_ideal_split_photon():
 
 
 def test_criterion_4_coherent_tightness():
-    jcd = _exact_jcd(cs.StateSpec.coherent(0.4, 0.7), eta=0.9, nu=0.0)
+    jcd = coherent_product_jcd(0.4, 0.7, eta=0.9)
     deviations = [
         abs(cs.statistic(jcd, "q_a")),
         abs(cs.statistic(jcd, "q_b")),
@@ -101,7 +98,7 @@ def test_criterion_5_tmsv_exact_pattern():
     # cut at the package's 12 pair photons so that it holds the same state;
     # the photon numbers 8..12 populate row a = 8, where frak_n's minimum sits
     # (c(8) ~ 1.7e-13). Package and oracle agree to 1e-12.
-    jcd = _exact_jcd(cs.StateSpec.tmsv(np.sqrt(0.1)), eta=0.5, nu=1e-4)
+    jcd = tmsv_jcd(0.1, eta=0.5, nu=1e-4)
     gamma_margin = cs.statistic(jcd, "gamma") - cs.statistic(jcd, "gamma_cl_max")
     kappa_margin = cs.statistic(jcd, "kappa") - cs.statistic(jcd, "kappa_cl_max")
     eig_1 = min_eigenvalue(moment_matrix(jcd, 1))[0]
@@ -119,7 +116,7 @@ def test_criterion_5_tmsv_exact_pattern():
     # gamma bound but not the kappa bound, in the oracle and in the package.
     pdc = []
     for lam2 in (0.25, 0.30):
-        jcd = _exact_jcd(cs.StateSpec.tmsv(np.sqrt(lam2)), eta=0.05, nu=1e-4)
+        jcd = tmsv_jcd(lam2, eta=0.05, nu=1e-4)
         pdc.append((cs.statistic(jcd, "gamma") - cs.statistic(jcd, "gamma_cl_max"),
                     cs.statistic(jcd, "kappa") - cs.statistic(jcd, "kappa_cl_max"),
                     *criterion_margins(
@@ -138,7 +135,7 @@ def test_criterion_5_tmsv_exact_pattern():
 
 def test_criterion_6_lossy_split_photon_sampled():
     start = time.monotonic()
-    jcd = _exact_jcd(cs.StateSpec.split_photon(np.sqrt(0.5)), eta=0.45, nu=1e-4)
+    jcd = exact_jcd(cs.StateSpec.split_photon(np.sqrt(0.5)), cs.DetectorConfig(8, 0.45, 1e-4))
     counts = cs.sample_counts(jcd, 10**6, seed=12345)
     errors = bootstrap(counts, BootstrapConfig(replicates=1000, seed=1))
     report = cs.evaluate_all(cs.normalize(counts), errors=errors, threshold=3.0)
@@ -207,8 +204,7 @@ def test_criterion_7_pipeline_demo(tmp_path, capsys):
 
 def test_criterion_8_bootstrap_scaling():
     cfg = cs.DetectorConfig(8, 0.8, 0.0)
-    jcd = cs.joint_click_distribution(
-        cs.build_photon_distribution(cs.StateSpec.coherent(0.5, 0.5)), cfg, cfg)
+    jcd = exact_jcd(cs.StateSpec.coherent(0.5, 0.5), cfg)
     bcfg = BootstrapConfig(replicates=400, seed=8, statistics=("gamma",))
     small = bootstrap(cs.sample_counts(jcd, 10**4, 81), bcfg)["gamma"].stderr
     large = bootstrap(cs.sample_counts(jcd, 10**6, 82), bcfg)["gamma"].stderr
@@ -236,13 +232,7 @@ def test_criterion_9_property_suites():
         cases += 1
     cfg = cs.DetectorConfig(8, 0.7, 0.0)
     for _ in range(150):
-        weights = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
-        probs = np.zeros((9, 9))
-        for w in weights:
-            jpd = cs.build_photon_distribution(cs.StateSpec.coherent(
-                rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)))
-            probs += w * cs.joint_click_distribution(jpd, cfg, cfg).probs
-        mixture = cs.JointClickDistribution(probs / probs.sum())
+        mixture = coherent_mixture(rng, rng.dirichlet(np.ones(int(rng.integers(1, 4)))), cfg)
         ok &= cs.statistic(mixture, "frak_n") >= -1e-10
         cases += 1
     ok = ok and cases >= 1000

@@ -1,17 +1,12 @@
 """The pipeline benchmark (pipebench/) reaches into the package by name: its
 tracer patches public functions and module globals, and its workloads build
 configs positionally. A rename of any of those names fails here."""
-import sys
-from pathlib import Path
-
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipebench"))
-
-import tracer  # noqa: E402
-import workloads  # noqa: E402,F401  (its imports name the package's types)
-from clickstats import cli, criteria, model, simulator, uncertainty  # noqa: E402
-from clickstats.uncertainty import BootstrapConfig, bootstrap  # noqa: E402
+import tracer
+import workloads  # noqa: F401  (its imports name the package's types)
+from clickstats import cli, criteria, model, simulator, uncertainty
+from clickstats.uncertainty import BootstrapConfig, bootstrap
 
 MODULES = (cli, criteria, model, simulator, uncertainty)
 

@@ -19,6 +19,8 @@ from clickstats.cli import (main, read_counts_csv, render_report_table,
                             write_counts_csv)
 from clickstats.model import ValidationError
 
+from exact import exact_jcd
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -207,10 +209,9 @@ def test_exact_out_round_trip(tmp_path):
     header, *rows = exact.read_text().splitlines()
     assert header == "# bins_a=8 bins_b=4"
     probs = np.array([[float(v) for v in row.split(",")] for row in rows])
-    jpd = cs.build_photon_distribution(cs.StateSpec.tmsv(float(np.sqrt(0.3))))
-    expected = cs.joint_click_distribution(jpd, cs.DetectorConfig(8, 0.5, 1e-4),
-                                           cs.DetectorConfig(4, 0.5, 1e-4)).probs
-    assert probs.tobytes() == expected.tobytes()
+    spec = cs.StateSpec.tmsv(float(np.sqrt(0.3)))
+    expected = exact_jcd(spec, cs.DetectorConfig(8, 0.5, 1e-4), cs.DetectorConfig(4, 0.5, 1e-4))
+    assert probs.tobytes() == expected.probs.tobytes()
 
 
 @pytest.mark.parametrize("state, flag, value", [
@@ -235,9 +236,7 @@ def _counts_file(tmp_path):
 
 
 def _report_file(tmp_path, edit):
-    cfg = cs.DetectorConfig(8, 0.5, 1e-4)
-    jcd = cs.joint_click_distribution(
-        cs.build_photon_distribution(cs.StateSpec.tmsv(0.3)), cfg, cfg)
+    jcd = exact_jcd(cs.StateSpec.tmsv(0.3), cs.DetectorConfig(8, 0.5, 1e-4))
     data = cs.evaluate_all(jcd).to_dict()
     path = tmp_path / "r.json"
     path.write_text(json.dumps(edit(data)))
@@ -584,9 +583,7 @@ def test_read_counts_csv_fuzz(header, body):
 
 
 def _valid_report() -> dict:
-    cfg = cs.DetectorConfig(4, 0.5, 1e-4)
-    jcd = cs.joint_click_distribution(
-        cs.build_photon_distribution(cs.StateSpec.tmsv(0.3)), cfg, cfg)
+    jcd = exact_jcd(cs.StateSpec.tmsv(0.3), cs.DetectorConfig(4, 0.5, 1e-4))
     return cs.evaluate_all(jcd).to_dict()
 
 

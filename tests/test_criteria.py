@@ -10,39 +10,12 @@ from clickstats import criteria
 from clickstats.criteria import moment_matrix
 from clickstats.model import UndefinedStatisticError, ValidationError
 
+from exact import (coherent_mixture, coherent_product_jcd, exact_jcd, ideal_split_photon_jcd,
+                   tmsv_jcd)
 from oracles import (marginals, min_eigenvalue, poisson_pmf,
                      random_click_distribution)
 
 SP_FRAK_N = (1.0 - math.sqrt(17.0 / 16.0)) / 2.0
-
-
-def ideal_split_photon_jcd():
-    cfg = cs.DetectorConfig(8, 1.0, 0.0)
-    jpd = cs.build_photon_distribution(cs.StateSpec.split_photon(2 ** -0.5))
-    return cs.joint_click_distribution(jpd, cfg, cfg)
-
-
-def coherent_product_jcd(mean_a=0.6, mean_b=1.1, eta=0.8, nu=0.0):
-    cfg = cs.DetectorConfig(8, eta, nu)
-    jpd = cs.build_photon_distribution(cs.StateSpec.coherent(mean_a, mean_b))
-    return cs.joint_click_distribution(jpd, cfg, cfg)
-
-
-def tmsv_jcd(lam2=0.1, eta=0.5, nu=0.0):
-    cfg = cs.DetectorConfig(8, eta, nu)
-    jpd = cs.build_photon_distribution(cs.StateSpec.tmsv(np.sqrt(lam2)))
-    return cs.joint_click_distribution(jpd, cfg, cfg)
-
-
-def classical_mixture_jcd(rng, components=3):
-    cfg = cs.DetectorConfig(8, rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.02))
-    weights = rng.dirichlet(np.ones(components))
-    probs = np.zeros((9, 9))
-    for w in weights:
-        jpd = cs.build_photon_distribution(
-            cs.StateSpec.coherent(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)))
-        probs += w * cs.joint_click_distribution(jpd, cfg, cfg).probs
-    return cs.JointClickDistribution(probs / probs.sum())
 
 
 def product_jcd(ca, cb):
@@ -246,7 +219,9 @@ def test_frak_n_ideal_split_photon():
 def test_frak_n_classical_mixtures_nonnegative():
     rng = np.random.default_rng(12)
     for _ in range(60):
-        jcd = classical_mixture_jcd(rng, components=int(rng.integers(1, 4)))
+        components = int(rng.integers(1, 4))
+        cfg = cs.DetectorConfig(8, rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.02))
+        jcd = coherent_mixture(rng, rng.dirichlet(np.ones(components)), cfg)
         assert cs.statistic(jcd, "frak_n") >= -1e-10
 
 
@@ -270,8 +245,7 @@ def test_exact_coherent_verdicts_not_violated(bins, setting):
     # rounding and photon-number truncation, within EXACT_MARGIN_TOL
     mean_a, mean_b, eta, nu = setting
     cfg = cs.DetectorConfig(bins, eta, nu)
-    jpd = cs.build_photon_distribution(cs.StateSpec.coherent(mean_a, mean_b))
-    report = cs.evaluate_all(cs.joint_click_distribution(jpd, cfg, cfg))
+    report = cs.evaluate_all(exact_jcd(cs.StateSpec.coherent(mean_a, mean_b), cfg))
     assert (report.kappa_test.violated, report.gamma_test.violated,
             report.frak_n_test.violated) == (False, False, False)
 
@@ -310,10 +284,8 @@ def test_exact_coherent_light_within_classical_bounds(bins, eta, nu):
     # package's TAIL_MASS cut alone moves the kappa margin by ~1e-11), so
     # every margin is rounding.
     pmf = poisson_pmf(0.5, 60)
-    jpd = cs.JointPhotonDistribution(np.outer(pmf, pmf) / pmf.sum() ** 2)
-    cfg = cs.DetectorConfig(bins, eta, nu)
-    values = criteria.stack_statistics(
-        cs.joint_click_distribution(jpd, cfg, cfg).probs).values
+    jcd = exact_jcd(np.outer(pmf, pmf) / pmf.sum() ** 2, cs.DetectorConfig(bins, eta, nu))
+    values = criteria.stack_statistics(jcd.probs).values
     assert values["kappa_margin"] <= 1e-12
     assert values["gamma_margin"] <= 1e-12
     assert -values["frak_n"] <= 1e-12
@@ -321,7 +293,8 @@ def test_exact_coherent_light_within_classical_bounds(bins, eta, nu):
 
 # the report's JSON could not hold these: a bool reads back as no number, a
 # numpy bool does not serialise, and the rest are no numbers at all
-NOT_REAL = {"bool": True, "numpy-bool": np.True_, "str": "3", "None": None, "complex": 3j}
+NOT_REAL = {"bool": True, "numpy-bool": np.True_, "str": "3", "None": None, "complex": 3j,
+            "numpy-complex": np.complex128(3), "0-d-array": np.array(3.0)}
 
 
 @pytest.mark.parametrize("threshold", [

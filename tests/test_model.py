@@ -10,6 +10,8 @@ import clickstats as cs
 from clickstats.model import MAX_BINS, ValidationError
 from clickstats.uncertainty import BootstrapStat
 
+from exact import exact_jcd, ideal_split_photon_jcd, tmsv_jcd
+
 
 def test_detector_config_validation():
     cs.DetectorConfig(bins=2)
@@ -25,6 +27,13 @@ def test_detector_config_validation():
         with pytest.raises(ValidationError, match=message):
             cs.DetectorConfig(bins=bins)
     assert type(cs.DetectorConfig(bins=np.int64(8)).bins) is int
+    # a bool, a string or None is no real number; an int or a numpy float is one
+    for name, value in (("efficiency", True), ("efficiency", "0.5"), ("dark_click", None)):
+        message = re.escape(f"{name} must be a real number, got {value!r}")
+        with pytest.raises(ValidationError, match=message):
+            cs.DetectorConfig(8, **{name: value})
+    cfg = cs.DetectorConfig(8, 1, np.float32(0.5))
+    assert (type(cfg.efficiency), type(cfg.dark_click)) == (float, float)
 
 
 def test_bins_bounded_by_max_bins():
@@ -136,9 +145,7 @@ def test_types_are_immutable():
 def test_sampling_l1_convergence_rate():
     # L1 distance between empirical and generating distribution should shrink
     # like M^(-1/2); check the log-log slope over three decades
-    cfg = cs.DetectorConfig(8, 0.5, 0.0)
-    jcd = cs.joint_click_distribution(
-        cs.build_photon_distribution(cs.StateSpec.tmsv(np.sqrt(0.1))), cfg, cfg)
+    jcd = tmsv_jcd(0.1, eta=0.5)
     shots = [10**3, 10**4, 10**5, 10**6]
     l1 = []
     for m in shots:
@@ -154,9 +161,7 @@ def test_sampling_l1_convergence_rate():
 def test_report_layout_key_order():
     # the schema-v1 key order, moment_warning included, and the field each
     # provenance key holds
-    cfg = cs.DetectorConfig(4, 0.5, 1e-4)
-    jcd = cs.joint_click_distribution(
-        cs.build_photon_distribution(cs.StateSpec.tmsv(0.3)), cfg, cfg)
+    jcd = exact_jcd(cs.StateSpec.tmsv(0.3), cs.DetectorConfig(4, 0.5, 1e-4))
     report = dataclasses.replace(cs.evaluate_all(jcd), total_shots=1000,
                                  bootstrap_replicates=7, seed=3,
                                  condition_counts=(1, 2, 3, 4, 5), parameters={"a": 1})
@@ -177,10 +182,7 @@ def test_report_round_trip():
     # an undefined estimate, an infinite significance, no seed or shots, and
     # nested parameters; the infinite significance is written as null and
     # reads back as None, an undefined value reads back as NaN
-    cfg = cs.DetectorConfig(8, 1.0, 0.0)
-    jcd = cs.joint_click_distribution(
-        cs.build_photon_distribution(cs.StateSpec.split_photon(np.sqrt(0.5))),
-        cfg, cfg)
+    jcd = ideal_split_photon_jcd()
     errors = {"kappa_margin": BootstrapStat(stderr=0.0, drop_fraction=0.0)}
     report = dataclasses.replace(
         cs.evaluate_all(jcd, errors=errors, threshold=2.5),
@@ -199,10 +201,7 @@ def test_report_round_trip():
 def test_report_dict_is_strict_json():
     # a violation with zero bootstrap error has infinite significance, and an
     # undefined statistic has no value; JSON has neither Infinity nor NaN
-    cfg = cs.DetectorConfig(8, 1.0, 0.0)
-    jcd = cs.joint_click_distribution(
-        cs.build_photon_distribution(cs.StateSpec.split_photon(np.sqrt(0.5))),
-        cfg, cfg)
+    jcd = ideal_split_photon_jcd()
     errors = {"kappa_margin": BootstrapStat(stderr=0.0, drop_fraction=0.0)}
     report = cs.evaluate_all(jcd, errors=errors)
     assert report.kappa_test.significance_sigmas == math.inf

@@ -17,6 +17,7 @@ from clickstats.model import MAX_BINS, ValidationError
 from clickstats.simulator import (MAX_COHERENT_MEAN, MAX_TMSV_CUT, _tmsv_cut,
                                   click_kernel_matrix)
 
+from exact import exact_jcd, ideal_split_photon_jcd, tmsv_jcd
 from oracles import (coherent_click_marginal, enumerate_click_kernel, poisson_pmf,
                      sample_counts_physical)
 
@@ -41,8 +42,12 @@ def test_state_spec_validation():
     (lambda: cs.StateSpec("tmsv"), "tmsv squeezing must be in \\(0, 1\\), got 0.0"),
     (lambda: cs.StateSpec("tmsv", squeezing=1.5), "tmsv squeezing"),
     (lambda: cs.StateSpec("split_photon"), "splitting amplitude must be in"),
+    # a bool was taken as 0 or 1; a string or None failed a comparison
+    (lambda: cs.StateSpec.coherent(True, 0), "mean_a must be a real number, got True"),
+    (lambda: cs.StateSpec.coherent("1", 0), "mean_a must be a real number, got '1'"),
+    (lambda: cs.StateSpec.tmsv(None), "squeezing must be a real number, got None"),
 ], ids=["coherent-mean-1000", "tmsv-default", "tmsv-squeezing-1.5",
-        "split-photon-default"])
+        "split-photon-default", "coherent-bool", "coherent-str", "tmsv-none"])
 def test_state_spec_checks_its_variant_on_construction(make_spec, message, deadline):
     with pytest.raises(ValidationError, match=message):
         make_spec()
@@ -178,18 +183,14 @@ def test_kernel_matches_enumeration(bins, eta, nu):
 
 
 def test_joint_distribution_split_photon():
-    cfg = cs.DetectorConfig(8, 1.0, 0.0)
-    jpd = cs.build_photon_distribution(cs.StateSpec.split_photon(2 ** -0.5))
-    jcd = cs.joint_click_distribution(jpd, cfg, cfg)
+    jcd = ideal_split_photon_jcd()
     assert jcd.probs[1, 0] == pytest.approx(0.5, abs=1e-12)
     assert jcd.probs[0, 1] == pytest.approx(0.5, abs=1e-12)
     assert jcd.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_joint_distribution_vacuum():
-    cfg = cs.DetectorConfig(8, 1.0, 0.0)
-    jpd = cs.build_photon_distribution(cs.StateSpec.coherent(0.0, 0.0))
-    jcd = cs.joint_click_distribution(jpd, cfg, cfg)
+    jcd = exact_jcd(cs.StateSpec.coherent(0.0, 0.0), cs.DetectorConfig(8, 1.0, 0.0))
     assert jcd.probs[0, 0] == pytest.approx(1.0)
 
 
@@ -199,8 +200,7 @@ def test_coherent_closed_form(nu):
     cfg_a = cs.DetectorConfig(8, 0.6, nu)
     cfg_b = cs.DetectorConfig(8, 0.9, nu)
     mean_a, mean_b = 0.8, 1.4
-    jpd = cs.build_photon_distribution(cs.StateSpec.coherent(mean_a, mean_b))
-    jcd = cs.joint_click_distribution(jpd, cfg_a, cfg_b)
+    jcd = exact_jcd(cs.StateSpec.coherent(mean_a, mean_b), cfg_a, cfg_b)
     expected = np.outer(coherent_click_marginal(mean_a, 8, 0.6, nu),
                         coherent_click_marginal(mean_b, 8, 0.9, nu))
     assert np.max(np.abs(jcd.probs - expected)) < 1e-10
@@ -307,19 +307,15 @@ def test_equal_configs_build_one_chain(monkeypatch, cfg_b, chains):
 
 
 def test_mean_clicks_monotone_in_efficiency():
-    jpd = cs.build_photon_distribution(cs.StateSpec.tmsv(np.sqrt(0.2)))
     means = []
     for eta in np.linspace(0.05, 1.0, 12):
-        cfg = cs.DetectorConfig(8, eta, 0.0)
-        jcd = cs.joint_click_distribution(jpd, cfg, cfg)
+        jcd = tmsv_jcd(0.2, eta=eta)
         means.append(float(np.arange(9) @ jcd.probs.sum(axis=1)))
     assert np.all(np.diff(means) >= -1e-14)
 
 
 def test_sample_counts_total_and_determinism():
-    cfg = cs.DetectorConfig(8, 0.5, 0.0)
-    jcd = cs.joint_click_distribution(
-        cs.build_photon_distribution(cs.StateSpec.tmsv(np.sqrt(0.1))), cfg, cfg)
+    jcd = tmsv_jcd(0.1, eta=0.5)
     c1 = cs.sample_counts(jcd, 10**6, seed=7)
     c2 = cs.sample_counts(jcd, 10**6, seed=7)
     assert c1.total == 10**6
@@ -335,11 +331,7 @@ def test_sample_counts_degenerate():
 
 
 def test_sample_counts_binomial_error():
-    cfg = cs.DetectorConfig(8, 1.0, 0.0)
-    jcd = cs.joint_click_distribution(
-        cs.build_photon_distribution(cs.StateSpec.split_photon(2 ** -0.5)),
-        cfg, cfg)
-    c = cs.sample_counts(jcd, 10**6, seed=3)
+    c = cs.sample_counts(ideal_split_photon_jcd(), 10**6, seed=3)
     assert abs(c.counts[1, 0] / 10**6 - 0.5) < 3.0 * np.sqrt(0.25 / 10**6)
 
 

@@ -1,9 +1,7 @@
 """The batched statistics engine against the closed-form oracle, the
 benchmark's reference statistics and its scalar accessor ``statistic``."""
 import math
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +11,9 @@ import clickstats as cs
 from clickstats.criteria import WHY_UNDEFINED, moment_matrix, stack_statistics
 from clickstats.uncertainty import STATISTICS
 
+import reference  # read-only: the benchmark's own statistics
+from exact import exact_jcd
 from oracles import criterion_margins, min_eigenvalue, summed_click_mean
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipebench"))
-
-import reference  # noqa: E402  (read-only: the benchmark's own statistics)
 
 
 @st.composite
@@ -183,8 +179,7 @@ def test_saturated_detector_matches_reference(bins):
     # raw-moment variance E(b^2) - E(b)^2 loses about 1e-7 here; gamma is left
     # out, its covariance is ill-conditioned at saturation in both codes
     cfg = cs.DetectorConfig(bins, 1.0, 1e-4)
-    jcd = cs.joint_click_distribution(
-        cs.build_photon_distribution(cs.StateSpec.coherent(150.0, 135.0)), cfg, cfg)
+    jcd = exact_jcd(cs.StateSpec.coherent(150.0, 135.0), cfg)
     got = stack_statistics(jcd.probs).values
     want = reference.statistics(jcd.probs)
     for name in ("q_a", "q_b", "kappa", "kappa_cl_max"):

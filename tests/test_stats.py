@@ -8,6 +8,7 @@ from clickstats.criteria import (mean, moment_matrix, moment_weights,
                                  stack_statistics, variance)
 from clickstats.model import UndefinedStatisticError, ValidationError
 
+from exact import coherent_product_jcd, ideal_split_photon_jcd
 from oracles import conditionals, covariance, marginals, random_click_distribution
 
 # click numbers 0..8 of an 8-bin arm
@@ -23,18 +24,6 @@ def joint_normal_moment(jcd):
     """<:pi_A pi_B:> = E(ab) / (N_A N_B)."""
     a, b = np.arange(jcd.bins_a + 1), np.arange(jcd.bins_b + 1)
     return float(a @ jcd.probs @ b) / (jcd.bins_a * jcd.bins_b)
-
-
-def ideal_split_photon_jcd():
-    cfg = cs.DetectorConfig(8, 1.0, 0.0)
-    jpd = cs.build_photon_distribution(cs.StateSpec.split_photon(2 ** -0.5))
-    return cs.joint_click_distribution(jpd, cfg, cfg)
-
-
-def coherent_product_jcd(mean_a=0.6, mean_b=1.1, eta=0.8, nu=0.0):
-    cfg = cs.DetectorConfig(8, eta, nu)
-    jpd = cs.build_photon_distribution(cs.StateSpec.coherent(mean_a, mean_b))
-    return cs.joint_click_distribution(jpd, cfg, cfg)
 
 
 def test_marginals_of_product():

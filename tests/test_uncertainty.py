@@ -15,15 +15,12 @@ from clickstats.criteria import stack_statistics
 from clickstats.model import UndefinedStatisticError, ValidationError
 from clickstats.uncertainty import STATISTICS, BootstrapConfig, _child_generators, bootstrap
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipebench"))
-
-import reference  # noqa: E402  (read-only: the benchmark's own bootstrap)
+import reference  # read-only: the benchmark's own bootstrap
+from exact import exact_jcd, tmsv_jcd
 
 
 def coherent_counts(shots, seed=21):
-    cfg = cs.DetectorConfig(8, 0.8, 0.0)
-    jpd = cs.build_photon_distribution(cs.StateSpec.coherent(0.5, 0.5))
-    jcd = cs.joint_click_distribution(jpd, cfg, cfg)
+    jcd = exact_jcd(cs.StateSpec.coherent(0.5, 0.5), cs.DetectorConfig(8, 0.8, 0.0))
     return cs.sample_counts(jcd, shots, seed)
 
 
@@ -169,10 +166,7 @@ def serial_replay(counts, cfg):
 def tmsv_counts():
     # sparse TMSV counts: the high-click conditions are drawn in only some
     # replicates of a chunk
-    cfg = cs.DetectorConfig(8, 0.5, 1e-4)
-    jcd = cs.joint_click_distribution(
-        cs.build_photon_distribution(cs.StateSpec.tmsv(np.sqrt(0.1))), cfg, cfg)
-    return cs.sample_counts(jcd, 10**4, seed=31)
+    return cs.sample_counts(tmsv_jcd(0.1, eta=0.5, nu=1e-4), 10**4, seed=31)
 
 
 def holed_counts(last_cell=7, empty_last_row=False):
@@ -283,8 +277,7 @@ def test_bootstrap_matches_reference(state, eta, shots, bins):
     # the reference draws one generator per spawned child and scores all
     # replicates with its own statistics, sharing no code with the package,
     # and solves every moment matrix at full order
-    cfg = cs.DetectorConfig(bins, eta, 1e-4)
-    jcd = cs.joint_click_distribution(cs.build_photon_distribution(state), cfg, cfg)
+    jcd = exact_jcd(state, cs.DetectorConfig(bins, eta, 1e-4))
     counts = cs.sample_counts(jcd, shots, seed=bins)
     got = bootstrap(counts, BootstrapConfig(replicates=200, seed=41))
     want = reference.bootstrap_stderr(counts.counts, 200, 41)
