@@ -153,21 +153,30 @@ def cmd_simulate(args) -> int:
     jcd = joint_click_distribution(jpd, cfg_a, cfg_b)
     counts = sample_counts(jcd, args.shots, seed)
 
-    write_counts_csv(args.counts_out, counts)
-    if args.exact_out:
-        _write_csv(args.exact_out, jcd.probs)
-    meta = {
-        "state": args.state,
-        "label": jpd.label,
-        "seed": seed,
-        "shots": args.shots,
-        "detector_a": {"bins": cfg_a.bins, "eta": cfg_a.efficiency,
-                       "nu": cfg_a.dark_click},
-        "detector_b": {"bins": cfg_b.bins, "eta": cfg_b.efficiency,
-                       "nu": cfg_b.dark_click},
-    }
-    with open(str(args.counts_out) + ".meta.json", "w") as fh:
-        fh.write(json.dumps(meta, indent=2, allow_nan=False))
+    written = []
+    try:
+        write_counts_csv(args.counts_out, counts)
+        written.append(args.counts_out)
+        if args.exact_out:
+            _write_csv(args.exact_out, jcd.probs)
+            written.append(args.exact_out)
+        meta = {
+            "state": args.state,
+            "label": jpd.label,
+            "seed": seed,
+            "shots": args.shots,
+            "detector_a": {"bins": cfg_a.bins, "eta": cfg_a.efficiency,
+                           "nu": cfg_a.dark_click},
+            "detector_b": {"bins": cfg_b.bins, "eta": cfg_b.efficiency,
+                           "nu": cfg_b.dark_click},
+        }
+        with open(str(args.counts_out) + ".meta.json", "w") as fh:
+            fh.write(json.dumps(meta, indent=2, allow_nan=False))
+    except OSError:
+        # an output that cannot be written takes the ones written before it along
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
     print(f"wrote {args.counts_out} ({args.shots} shots, seed {seed})")
     return EXIT_OK
 
@@ -214,7 +223,8 @@ def render_report_table(reports: list[CriteriaReport]) -> str:
             n_txt = f"{n.value:.3e}"
         else:
             n_txt = "n/a"
-        rows.append((r.label or "-", e_txt,
+        label = "".join(c if c.isprintable() else repr(c)[1:-1] for c in r.label or "-")
+        rows.append((label, e_txt,
                      VERDICT_SYMBOLS[r.kappa_test.violated],
                      VERDICT_SYMBOLS[r.gamma_test.violated],
                      VERDICT_SYMBOLS[r.frak_n_test.violated],

@@ -88,118 +88,6 @@ def test_counts_csv_round_trip(tmp_path):
     assert np.array_equal(read_counts_csv(path).counts, counts.counts)
 
 
-def test_read_counts_missing_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1,2\n3,4\n")
-    assert run(["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]) == 2
-
-
-def test_read_counts_dimension_mismatch(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# bins_a=8 bins_b=8\n1,2,3\n")
-    assert run(["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]) == 2
-
-
-def test_simulate_beyond_max_bins_is_data_error(tmp_path, capsys):
-    code = run(["simulate", "--state", "coherent", "--mean-a", 0.5, "--bins", 129,
-                "--shots", 10, "--seed", 1, "--counts-out", tmp_path / "c.csv"])
-    assert code == 2
-    assert "[2, 128]" in capsys.readouterr().err
-    assert not (tmp_path / "c.csv").exists()
-
-
-def test_counts_beyond_max_bins_is_data_error(tmp_path, capsys):
-    # a well-formed 130 x 3 matrix, so only the bin bound can reject it
-    path = tmp_path / "wide.csv"
-    path.write_text("# bins_a=129 bins_b=2\n" + "1,0,0\n" * 130)
-    assert run(["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]) == 2
-    assert "[2, 128]" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_simulate_non_finite_mean_is_data_error(tmp_path, capsys, value):
-    code = run(["simulate", "--state", "coherent", "--mean-a", value, "--shots", 10,
-                "--seed", 1, "--counts-out", tmp_path / "c.csv"])
-    assert code == 2
-    assert "finite" in capsys.readouterr().err
-    assert not (tmp_path / "c.csv").exists()
-
-
-def test_simulate_huge_coherent_mean_is_data_error(tmp_path, capsys, deadline):
-    code = run(["simulate", "--state", "coherent", "--mean-a", 800, "--mean-b", 0.1,
-                "--shots", 10, "--seed", 1, "--counts-out", tmp_path / "c.csv"])
-    assert code == 2
-    assert "700" in capsys.readouterr().err
-    assert not (tmp_path / "c.csv").exists()
-
-
-@pytest.mark.parametrize("command", ["simulate", "analyze"])
-def test_negative_seed_is_data_error(tmp_path, capsys, command):
-    if command == "simulate":
-        argv = ["simulate", "--state", "coherent", "--mean-a", 0.5, "--shots", 10,
-                "--seed", -3, "--counts-out", tmp_path / "out.csv"]
-    else:
-        argv = ["analyze", "--counts", _counts_file(tmp_path), "--replicates", 10,
-                "--seed", -1, "--report-out", tmp_path / "r.json"]
-    assert run(argv) == 2
-    assert "seed must be >= 0" in capsys.readouterr().err
-    assert not (tmp_path / "out.csv").exists()
-    assert not (tmp_path / "r.json").exists()
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-3", "0"])
-def test_threshold_not_finite_and_positive_is_data_error(tmp_path, capsys, monkeypatch,
-                                                         value):
-    # NaN and inf were written as non-strict JSON, NaN left a 7-sigma kappa
-    # violation unflagged and -3 flagged every verdict; the threshold is
-    # checked before the bootstrap runs
-    def no_bootstrap(*args):
-        raise AssertionError("bootstrap ran before the threshold was checked")
-    counts = simulate_sp(tmp_path, shots=2000)
-    monkeypatch.setattr(cli, "bootstrap", no_bootstrap)
-    report = tmp_path / "r.json"
-    code = run(["analyze", "--counts", counts,
-                "--replicates", 10, "--seed", 1, "--threshold", value,
-                "--report-out", report])
-    assert code == 2
-    assert "threshold must be finite and > 0" in capsys.readouterr().err
-    assert not report.exists()
-
-
-@pytest.mark.parametrize("replicates", [2**32, 10**14, 10**20])
-def test_replicates_beyond_spawn_index_is_data_error(tmp_path, capsys, monkeypatch,
-                                                     replicates):
-    # 10**14 died allocating the spawn indices and 10**20 in numpy's size
-    # check; the bound is checked before the bootstrap runs
-    def no_bootstrap(*args):
-        raise AssertionError("bootstrap ran before the replicates were checked")
-    monkeypatch.setattr(cli, "bootstrap", no_bootstrap)
-    report = tmp_path / "r.json"
-    code = run(["analyze", "--counts", _counts_file(tmp_path), "--replicates", replicates,
-                "--seed", 1, "--report-out", report])
-    assert code == 2
-    assert f"replicates must be below 2^32, got {replicates}" in capsys.readouterr().err
-    assert not report.exists()
-
-
-@pytest.mark.parametrize("flags, message", [
-    (("--shots", 0, "--seed", 1), "shots must be >= 1"),
-    (("--shots", 2**63, "--seed", 1), "shots 9223372036854775808 exceeds 2^63 - 1"),
-    (("--shots", 10, "--seed", -1), "seed must be >= 0, got -1"),
-], ids=["zero-shots", "shots-beyond-int64", "negative-seed"])
-def test_sampling_is_checked_before_the_exact_distribution(tmp_path, capsys, monkeypatch,
-                                                           flags, message):
-    # each reached build_photon_distribution and the click kernel first
-    def no_build(*args):
-        raise AssertionError("the exact distribution was built before the sampling check")
-    monkeypatch.setattr(cli, "build_photon_distribution", no_build)
-    code = run(["simulate", "--state", "coherent", "--mean-a", 0.5, *flags,
-                "--counts-out", tmp_path / "c.csv"])
-    assert code == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "c.csv").exists()
-
-
 def test_exact_out_round_trip(tmp_path):
     # the exact distribution, in the counts layout, reads back bit for bit
     exact = tmp_path / "exact.csv"
@@ -212,21 +100,6 @@ def test_exact_out_round_trip(tmp_path):
     spec = cs.StateSpec.tmsv(float(np.sqrt(0.3)))
     expected = exact_jcd(spec, cs.DetectorConfig(8, 0.5, 1e-4), cs.DetectorConfig(4, 0.5, 1e-4))
     assert probs.tobytes() == expected.probs.tobytes()
-
-
-@pytest.mark.parametrize("state, flag, value", [
-    ("tmsv", "--lambda2", "-0.5"), ("tmsv", "--lambda2", "1"),
-    ("tmsv", "--lambda2", "nan"), ("split-photon", "--t2", "-0.5"),
-    ("split-photon", "--t2", "1.5"),
-])
-def test_squared_amplitude_outside_unit_interval_is_data_error(tmp_path, capsys, state,
-                                                              flag, value):
-    # checked before the square root, which warned and then reported the NaN
-    code = run(["simulate", "--state", state, flag, value, "--shots", 10, "--seed", 1,
-                "--counts-out", tmp_path / "c.csv"])
-    assert code == 2
-    assert f"{flag} must be in (0, 1), got {float(value)}" in capsys.readouterr().err
-    assert not (tmp_path / "c.csv").exists()
 
 
 def _counts_file(tmp_path):
@@ -243,17 +116,21 @@ def _report_file(tmp_path, edit):
     return ["report", path]
 
 
-def _non_utf8_counts(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_bytes(b"# bins_a=2 bins_b=2\n\xff\xfe,0,0\n0,0,0\n0,0,1\n")
-    return ["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]
+def _write(path, content):
+    """Write ``content``, a str as UTF-8 or bytes as they are, and return the path."""
+    path.write_bytes(content.encode() if isinstance(content, str) else content)
+    return path
+
+
+def _analyze(tmp_path, *flags):
+    return ["analyze", "--counts", _counts_file(tmp_path), *flags,
+            "--report-out", tmp_path / "r.json"]
 
 
 def _sidecar_text(tmp_path, text):
-    path = _counts_file(tmp_path)
-    (tmp_path / "c.csv.meta.json").write_text(text)
-    return ["analyze", "--counts", path, "--replicates", 10, "--seed", 1,
-            "--report-out", tmp_path / "r.json"]
+    argv = _analyze(tmp_path, "--replicates", 10, "--seed", 1)
+    _write(tmp_path / "c.csv.meta.json", text)
+    return argv
 
 
 def _nested_sidecar(lists):
@@ -263,9 +140,8 @@ def _nested_sidecar(lists):
 
 
 def _counts_text(tmp_path, text):
-    path = tmp_path / "c.csv"
-    path.write_text(text)
-    return ["analyze", "--counts", path, "--report-out", tmp_path / "r.json"]
+    return ["analyze", "--counts", _write(tmp_path / "c.csv", text),
+            "--report-out", tmp_path / "r.json"]
 
 
 def _report_literal(tmp_path, path, literal):
@@ -281,9 +157,7 @@ def _simulate(tmp_path, *flags):
 
 
 def _report_text(tmp_path, text):
-    path = tmp_path / "r.json"
-    path.write_text(text)
-    return ["report", path]
+    return ["report", _write(tmp_path / "r.json", text)]
 
 
 def _without(data, key):
@@ -301,87 +175,213 @@ def _set(data, path, value):
     return data
 
 
-@pytest.mark.parametrize("make_argv, message", [
-    (_non_utf8_counts, "not UTF-8"),
-    (lambda p: _sidecar_text(p, "[1, 2]"), "sidecar must be a JSON object"),
-    (lambda p: _report_file(p, lambda d: _without(d, "frak_n")), "malformed report"),
-    (lambda p: _report_file(p, lambda d: [d]), "report must be a JSON object"),
-    (lambda p: _report_file(p, _without_bins_a), "malformed report"),
-    (lambda p: _report_file(p, lambda d: {**d, "kappa": "0.5"}), "malformed report"),
-    (lambda p: _report_file(p, lambda d: {**d, "frak_n": {"value": 1.0, "stderr": "x"}}),
-     "malformed report"),
-    (lambda p: _counts_text(p, "# bins_a=2 bins_b=2\n" + "9" * 30 + ",0,0\n0,0,0\n0,0,1\n"),
-     "malformed counts row"),
-    (lambda p: _report_file(p, lambda d: {**d, "kappa": {**d["kappa"], "value": 10**400}}),
-     "malformed report"),
-    (lambda p: _report_text(p, "1" * 5000), "not JSON"),
-    (lambda p: _report_text(p, "[" * 10**5), "not JSON"),
+_OUTPUT_FLAGS = ("--counts-out", "--exact-out", "--report-out", "--plot-data", "--out")
+
+
+def _outputs(argv):
+    """The files ``argv`` names for the CLI to write, and a sidecar beside each."""
+    named = [Path(value) for flag, value in zip(argv, argv[1:]) if flag in _OUTPUT_FLAGS]
+    return named + [Path(f"{path}.meta.json") for path in named]
+
+
+def _assert_error(argv, code, message, capsys):
+    """README's promise for every error: exit ``code``, a stderr that starts
+    with argparse's usage (1) or `error: ` (2), names the cause and holds no
+    traceback, and no output file."""
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith({1: "usage: ", 2: "error: "}[code]) and message in err
+    assert "Traceback" not in err
+    assert [path for path in _outputs(argv) if path.is_file()] == []
+
+
+def _must_not_run(name):
+    def ran(*args, **kwargs):
+        raise AssertionError(f"cli.{name} ran on input that fails a check")
+    return ran
+
+
+# Every data error README lists, as {id: (argv builder, message)}
+_DATA_ERRORS = {
+    "non-utf8-counts": (lambda p: _counts_text(p, b"# bins_a=2 bins_b=2\n\xff\xfe,0,0\n"
+                                                  b"0,0,0\n0,0,1\n"), "not UTF-8"),
+    "sidecar-list": (lambda p: _sidecar_text(p, "[1, 2]"), "sidecar must be a JSON object"),
+    "report-missing-field": (lambda p: _report_file(p, lambda d: _without(d, "frak_n")),
+                             "malformed report"),
+    "report-list": (lambda p: _report_file(p, lambda d: [d]), "report must be a JSON object"),
+    "provenance-without-bins_a": (lambda p: _report_file(p, _without_bins_a),
+                                  "malformed report"),
+    "estimate-is-string": (lambda p: _report_file(p, lambda d: {**d, "kappa": "0.5"}),
+                           "malformed report"),
+    "stderr-is-string": (lambda p: _report_file(
+        p, lambda d: {**d, "frak_n": {"value": 1.0, "stderr": "x"}}), "malformed report"),
+    "count-beyond-int64": (lambda p: _counts_text(
+        p, "# bins_a=2 bins_b=2\n" + "9" * 30 + ",0,0\n0,0,0\n0,0,1\n"),
+        "malformed counts row"),
+    "report-value-beyond-float": (lambda p: _report_file(
+        p, lambda d: {**d, "kappa": {**d["kappa"], "value": 10**400}}), "malformed report"),
+    "report-integer-beyond-digit-limit": (lambda p: _report_text(p, "1" * 5000), "not JSON"),
+    "report-nested-too-deep": (lambda p: _report_text(p, "[" * 10**5), "not JSON"),
     # five cells of 2^62 wrapped to a sum of 2^62 and read "not normalized"
-    (lambda p: _counts_text(p, f"# bins_a=2 bins_b=2\n{2**62},{2**62},0\n"
-                               f"{2**62},{2**62},0\n0,0,{2**62}\n"),
-     "total count 23058430092136939520 exceeds 2^63 - 1"),
-    (lambda p: _counts_text(p, "# bins_a=2 bins_b=2\n1,0,0\n0,-1,0\n0,0,1\n"),
-     "negative count"),
-    (lambda p: _simulate(p, "--state", "coherent", "--mean-a", 0.5, "--shots", 0),
-     "shots must be >= 1"),
-    (lambda p: _simulate(p, "--state", "tmsv", "--shots", 10), "tmsv requires --lambda2"),
+    "count-sum-beyond-int64": (lambda p: _counts_text(
+        p, f"# bins_a=2 bins_b=2\n{2**62},{2**62},0\n{2**62},{2**62},0\n0,0,{2**62}\n"),
+        "total count 23058430092136939520 exceeds 2^63 - 1"),
+    "negative-count": (lambda p: _counts_text(p, "# bins_a=2 bins_b=2\n1,0,0\n0,-1,0\n0,0,1\n"),
+                       "negative count"),
+    "zero-shots": (lambda p: _simulate(p, "--state", "coherent", "--mean-a", 0.5, "--shots", 0),
+                   "shots must be >= 1"),
+    "tmsv-without-lambda2": (lambda p: _simulate(p, "--state", "tmsv", "--shots", 10),
+                             "tmsv requires --lambda2"),
     # a string "false" rendered as a violation
-    (lambda p: _report_file(p, lambda d: _set(d, ("kappa_test", "violated"), "false")),
-     "violated must be bool or NoneType, got str"),
-    (lambda p: _report_file(p, lambda d: _set(d, ("provenance", "bins_a"), "eight")),
-     "bins_a must be int, got str"),
-    (lambda p: _report_file(p, lambda d: _set(d, ("provenance", "seed"), True)),
-     "seed must be int or NoneType, got bool"),
-    (lambda p: _report_file(p, lambda d: {**d, "schema_version": True}),
-     "unsupported report schema version: True"),
-    (lambda p: _report_file(p, lambda d: _set(d, ("provenance", "condition_counts"),
-                                              [1.5] * 9)),
-     "condition_counts must hold ints"),
+    "verdict-is-string": (lambda p: _report_file(
+        p, lambda d: _set(d, ("kappa_test", "violated"), "false")),
+        "violated must be bool or NoneType, got str"),
+    "bins_a-is-string": (lambda p: _report_file(
+        p, lambda d: _set(d, ("provenance", "bins_a"), "eight")),
+        "bins_a must be int, got str"),
+    "seed-is-bool": (lambda p: _report_file(p, lambda d: _set(d, ("provenance", "seed"), True)),
+                     "seed must be int or NoneType, got bool"),
+    "schema-version-is-bool": (lambda p: _report_file(
+        p, lambda d: {**d, "schema_version": True}), "unsupported report schema version: True"),
+    "condition-count-is-float": (lambda p: _report_file(
+        p, lambda d: _set(d, ("provenance", "condition_counts"), [1.5] * 9)),
+        "condition_counts must hold ints"),
     # strict JSON has no NaN or Infinity, and the program never writes them
-    (lambda p: _sidecar_text(p, '{"seed": NaN}'), "NaN is not strict JSON"),
-    (lambda p: _report_file(p, lambda d: _set(d, ("provenance", "threshold"), math.nan)),
-     "NaN is not strict JSON"),
-    (lambda p: _report_file(p, lambda d: _set(d, ("kappa", "value"), -math.inf)),
-     "-Infinity is not strict JSON"),
+    "sidecar-seed-is-nan": (lambda p: _sidecar_text(p, '{"seed": NaN}'),
+                            "NaN is not strict JSON"),
+    "report-threshold-is-nan": (lambda p: _report_file(
+        p, lambda d: _set(d, ("provenance", "threshold"), math.nan)), "NaN is not strict JSON"),
+    "report-value-is-infinite": (lambda p: _report_file(
+        p, lambda d: _set(d, ("kappa", "value"), -math.inf)), "-Infinity is not strict JSON"),
     # a 2.8e14-photon cut died allocating the photon matrix
-    (lambda p: _simulate(p, "--state", "tmsv", "--lambda2", "0.9999999999999",
-                         "--shots", 10), "photon cut"),
+    "tmsv-cut-beyond-bound": (lambda p: _simulate(p, "--state", "tmsv", "--lambda2",
+                                                  "0.9999999999999", "--shots", 10),
+                              "photon cut"),
     # rng.multinomial overflowed
-    (lambda p: _simulate(p, "--state", "coherent", "--mean-a", 0.5, "--shots", 2**63),
-     "shots 9223372036854775808 exceeds 2^63 - 1"),
+    "shots-beyond-int64": (lambda p: _simulate(p, "--state", "coherent", "--mean-a", 0.5,
+                                               "--shots", 2**63),
+                           "shots 9223372036854775808 exceeds 2^63 - 1"),
     # a number beyond the float range was read as inf: a sidecar's gave a
     # report that `clickstats report` rejects, and a report's rendered as inf
-    (lambda p: _sidecar_text(p, '{"gain": 1e999}'), "1e999 is not strict JSON"),
-    (lambda p: _report_literal(p, ("frak_n", "value"), "1e999"),
-     "1e999 is not strict JSON"),
+    "sidecar-number-beyond-float": (lambda p: _sidecar_text(p, '{"gain": 1e999}'),
+                                    "1e999 is not strict JSON"),
+    "report-number-beyond-float": (lambda p: _report_literal(p, ("frak_n", "value"), "1e999"),
+                                   "1e999 is not strict JSON"),
     # a label that is not a string was written into a report `clickstats
     # report` rejects
-    (lambda p: _sidecar_text(p, '{"label": 5}'), "label, if any, is a string"),
-    (lambda p: _sidecar_text(p, '{"label": ["a"]}'), "label, if any, is a string"),
-    (lambda p: _sidecar_text(p, '{"label": {"x": 1}}'), "label, if any, is a string"),
-    (lambda p: _counts_text(p, "# bins_a=2 bins_b=2\n0,0,0\n0,0,0\n0,0,0\n"),
-     "empty dataset: total count is zero"),
+    "sidecar-label-is-int": (lambda p: _sidecar_text(p, '{"label": 5}'),
+                             "label, if any, is a string"),
+    "sidecar-label-is-list": (lambda p: _sidecar_text(p, '{"label": ["a"]}'),
+                              "label, if any, is a string"),
+    "sidecar-label-is-object": (lambda p: _sidecar_text(p, '{"label": {"x": 1}}'),
+                                "label, if any, is a string"),
+    "zero-total-counts": (lambda p: _counts_text(
+        p, "# bins_a=2 bins_b=2\n0,0,0\n0,0,0\n0,0,0\n"), "empty dataset: total count is zero"),
     # the report holds the sidecar two levels deeper, where the JSON decoder's
     # recursion limit, which depends on the caller's stack, may reject it
-    (lambda p: _sidecar_text(p, _nested_sidecar(cli.MAX_SIDECAR_DEPTH)),
-     f"sidecar nests deeper than {cli.MAX_SIDECAR_DEPTH} arrays and objects"),
-], ids=["non-utf8-counts", "sidecar-list", "report-missing-field",
-        "report-list", "provenance-without-bins_a", "estimate-is-string",
-        "stderr-is-string", "count-beyond-int64", "report-value-beyond-float",
-        "report-integer-beyond-digit-limit", "report-nested-too-deep",
-        "count-sum-beyond-int64", "negative-count", "zero-shots",
-        "tmsv-without-lambda2", "verdict-is-string", "bins_a-is-string",
-        "seed-is-bool", "schema-version-is-bool", "condition-count-is-float",
-        "sidecar-seed-is-nan", "report-threshold-is-nan",
-        "report-value-is-infinite", "tmsv-cut-beyond-bound", "shots-beyond-int64",
-        "sidecar-number-beyond-float", "report-number-beyond-float", "sidecar-label-is-int",
-        "sidecar-label-is-list", "sidecar-label-is-object", "zero-total-counts",
-        "sidecar-nested-too-deep"])
-def test_malformed_input_is_data_error(tmp_path, capsys, make_argv, message):
-    assert run(make_argv(tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert "Traceback" not in err
+    "sidecar-nested-too-deep": (lambda p: _sidecar_text(
+        p, _nested_sidecar(cli.MAX_SIDECAR_DEPTH)),
+        f"sidecar nests deeper than {cli.MAX_SIDECAR_DEPTH} arrays and objects"),
+    "counts-file-missing": (lambda p: ["analyze", "--counts", p / "c.csv",
+                                       "--report-out", p / "r.json"], "No such file or directory"),
+    "counts-without-header": (lambda p: _counts_text(p, "1,2\n3,4\n"),
+                              "missing '# bins_a=... bins_b=...' header"),
+    "counts-shape-mismatch": (lambda p: _counts_text(p, "# bins_a=8 bins_b=8\n1,2,3\n"),
+                              "expected 9x9 matrix, got (1, 3)"),
+    "simulate-bins-beyond-max": (lambda p: _simulate(p, "--state", "coherent", "--mean-a", 0.5,
+                                                     "--bins", 129, "--shots", 10), "[2, 128]"),
+    # a well-formed 130 x 3 matrix, so only the bin bound can reject it
+    "counts-bins-beyond-max": (lambda p: _counts_text(
+        p, "# bins_a=129 bins_b=2\n" + "1,0,0\n" * 130), "[2, 128]"),
+    **{f"coherent-mean-{value}": (lambda p, value=value: _simulate(
+        p, "--state", "coherent", "--mean-a", value, "--shots", 10), "finite")
+       for value in ["nan", "inf"]},
+    "coherent-mean-beyond-bound": (lambda p: _simulate(
+        p, "--state", "coherent", "--mean-a", 800, "--mean-b", 0.1, "--shots", 10), "700"),
+    "negative-seed": (lambda p: ["simulate", "--state", "coherent", "--mean-a", 0.5,
+                                 "--shots", 10, "--seed", -1, "--counts-out", p / "c.csv"],
+                      "seed must be >= 0, got -1"),
+    "simulate-negative-seed": (lambda p: ["simulate", "--state", "coherent", "--mean-a", 0.5,
+                                          "--shots", 10, "--seed", -3,
+                                          "--counts-out", p / "out.csv"], "seed must be >= 0"),
+    "analyze-negative-seed": (lambda p: _analyze(p, "--replicates", 10, "--seed", -1),
+                              "seed must be >= 0"),
+    # NaN and inf were written as non-strict JSON, NaN left a 7-sigma kappa
+    # violation unflagged and -3 flagged every verdict
+    **{f"threshold-{value}": (lambda p, value=value: [
+        "analyze", "--counts", simulate_sp(p, shots=2000), "--replicates", 10, "--seed", 1,
+        "--threshold", value, "--report-out", p / "r.json"], "threshold must be finite and > 0")
+       for value in ["nan", "inf", "-3", "0"]},
+    # 10**14 died allocating the spawn indices and 10**20 in numpy's size check
+    **{f"replicates-{n}": (lambda p, n=n: _analyze(p, "--replicates", n, "--seed", 1),
+                           f"replicates must be below 2^32, got {n}")
+       for n in [2**32, 10**14, 10**20]},
+    "one-replicate": (lambda p: _analyze(p, "--replicates", 1, "--seed", 1),
+                      "bootstrap needs at least 2 replicates"),
+    # checked before the square root, which warned and then reported the NaN
+    **{f"{flag[2:]}-{value}": (lambda p, state=state, flag=flag, value=value: _simulate(
+        p, "--state", state, flag, value, "--shots", 10),
+        f"{flag} must be in (0, 1), got {float(value)}")
+       for state, flag, value in [("tmsv", "--lambda2", "-0.5"), ("tmsv", "--lambda2", "1"),
+                                  ("tmsv", "--lambda2", "nan"),
+                                  ("split-photon", "--t2", "-0.5"),
+                                  ("split-photon", "--t2", "1.5")]},
+    "split-photon-without-t2": (lambda p: _simulate(
+        p, "--state", "split-photon", "--shots", 10), "split-photon requires --t2"),
+    "non-utf8-sidecar": (lambda p: _sidecar_text(p, b"\xff"), "not UTF-8"),
+    "non-utf8-report": (lambda p: _report_text(p, b"\xff"), "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("make_argv, message", _DATA_ERRORS.values(), ids=_DATA_ERRORS)
+def test_malformed_input_is_data_error(tmp_path, capsys, monkeypatch, deadline, make_argv,
+                                       message):
+    # every cause is caught before the exact distribution is built and before
+    # the bootstrap runs; the row's own inputs are built first
+    argv = make_argv(tmp_path)
+    for name in ("build_photon_distribution", "bootstrap"):
+        monkeypatch.setattr(cli, name, _must_not_run(name))
+    _assert_error(argv, 2, message, capsys)
+
+
+def _sidecar_path_is_directory(tmp_path):
+    (tmp_path / "c.csv.meta.json").mkdir()
+    return _simulate(tmp_path, "--state", "tmsv", "--lambda2", 0.1, "--shots", 100,
+                     "--exact-out", tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (lambda p: _simulate(p, "--state", "tmsv", "--lambda2", 0.1, "--shots", 100,
+                         "--exact-out", p / "missing" / "x.csv"), "No such file or directory"),
+    (_sidecar_path_is_directory, "Is a directory"),
+], ids=["exact-out-in-missing-directory", "sidecar-path-is-directory"])
+def test_simulate_that_cannot_write_leaves_no_output(tmp_path, capsys, make_argv, message):
+    # the counts file stayed behind without its sidecar, and a later analyze
+    # reported empty parameters
+    _assert_error(make_argv(tmp_path), 2, message, capsys)
+
+
+# Every usage error README lists, as {id: (argv builder, argparse's message)}
+_USAGE_ERRORS = {
+    "unknown-command": (lambda p: ["frobnicate"], "invalid choice"),
+    # report prints its table to stdout only, and analyze writes one report
+    "report-out": (lambda p: [*_report_file(p, lambda d: d), "--out", p / "t.txt"],
+                   "unrecognized arguments: --out"),
+    "analyze-plot-data": (lambda p: _analyze(p, "--replicates", 10, "--plot-data", p / "p.csv"),
+                          "unrecognized arguments: --plot-data"),
+    "missing-shots": (lambda p: ["simulate", "--state", "coherent", "--seed", 1,
+                                 "--counts-out", p / "c.csv"], "required: --shots"),
+    "report-without-file": (lambda p: ["report"], "required: reports"),
+    "shots-not-int": (lambda p: _simulate(p, "--state", "coherent", "--shots", "ten"),
+                      "invalid int value: 'ten'"),
+    "unknown-state": (lambda p: _simulate(p, "--state", "nonsense", "--shots", 10),
+                      "invalid choice: 'nonsense'"),
+}
+
+
+@pytest.mark.parametrize("make_argv, message", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS)
+def test_usage_error_exit_code(tmp_path, capsys, make_argv, message):
+    _assert_error(make_argv(tmp_path), 1, message, capsys)
 
 
 def test_drawn_seed_is_recorded_and_reproduces(tmp_path):
@@ -407,16 +407,6 @@ def test_drawn_seed_is_recorded_and_reproduces(tmp_path):
     assert (drawn / "r.json").read_bytes() == (again / "r.json").read_bytes()
 
 
-def test_usage_error_exit_code(tmp_path):
-    assert run(["simulate", "--state", "nonsense"]) == 1
-    # report prints its table to stdout only: --out is a usage error, writing no file
-    report = _report_file(tmp_path, lambda d: d)
-    assert run(report) == 0
-    table_path = tmp_path / "t.txt"
-    assert run([*report, "--out", table_path]) == 1
-    assert not table_path.exists()
-
-
 def test_analyze_report(tmp_path):
     counts = simulate_sp(tmp_path)
     report_path = tmp_path / "report.json"
@@ -437,9 +427,6 @@ def test_analyze_report(tmp_path):
                       ("gamma", "value"), ("gamma_cl_max", "value"), ("gamma", "stderr"),
                       ("frak_n", "value"), ("frak_n", "stderr")]:
         assert data[name][key] == getattr(getattr(expected, name), key)
-    plot_path = tmp_path / "plot.csv"
-    assert run([*analyze, "--report-out", report_path, "--plot-data", plot_path]) == 1
-    assert not plot_path.exists()
 
 
 def test_byte_order_mark_is_read(tmp_path):
@@ -480,14 +467,21 @@ def test_json_files_keep_their_layout(tmp_path):
 
 
 def test_report_table(tmp_path, capsys):
+    # one line per dataset: a label's non-printable characters print as their
+    # escapes, and a printable non-ASCII label as it is
     counts = simulate_sp(tmp_path)
-    report_path = tmp_path / "report.json"
-    run(["analyze", "--counts", counts, "--replicates", 200, "--seed", 11,
-         "--label", "SP-demo", "--report-out", report_path])
+    shown = {"SP-demo": "SP-demo", "two\nlines\tand tab": r"two\nlines\tand tab",
+             "Größe": "Größe"}
+    reports = [tmp_path / f"report{i}.json" for i in range(len(shown))]
+    for label, report_path in zip(shown, reports):
+        run(["analyze", "--counts", counts, "--replicates", 200, "--seed", 11,
+             "--label", label, "--report-out", report_path])
     capsys.readouterr()
-    assert run(["report", report_path]) == 0
+    assert run(["report", *reports]) == 0
     table = capsys.readouterr().out
-    assert "SP-demo" in table
+    rows = table.splitlines()[2:]
+    assert len(rows) == len(shown)
+    assert all(row.startswith(text) for row, text in zip(rows, shown.values()))
     assert "✓" in table or "✗" in table
 
 
@@ -517,10 +511,6 @@ def test_report_under_an_ascii_locale(tmp_path):
         [cs.CriteriaReport.from_dict(json.loads(report_path.read_text()))])
     assert "✓" in table or "✗" in table
     assert done.stdout == table.encode("ascii", "backslashreplace") + b"\n"
-
-
-def test_report_empty_input(tmp_path):
-    assert run(["report"]) == 1
 
 
 def test_report_schema_mismatch(tmp_path):
