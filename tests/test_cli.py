@@ -361,6 +361,21 @@ def test_simulate_that_cannot_write_leaves_no_output(tmp_path, capsys, make_argv
     _assert_error(make_argv(tmp_path), 2, message, capsys)
 
 
+@pytest.mark.parametrize("shots, message", [
+    (0, "shots must be >= 1"),
+    (2**63, "shots 9223372036854775808 exceeds 2^63 - 1"),
+], ids=["zero-shots", "shots-beyond-int64"])
+def test_sampling_is_checked_before_the_exact_distribution(tmp_path, capsys, monkeypatch,
+                                                           shots, message):
+    # each reached build_photon_distribution and the click kernel first; with
+    # --exact-out asked for, the exact file is not written either
+    monkeypatch.setattr(cli, "build_photon_distribution",
+                        _must_not_run("build_photon_distribution"))
+    argv = _simulate(tmp_path, "--state", "coherent", "--mean-a", 0.5, "--shots", shots,
+                     "--exact-out", tmp_path / "x.csv")
+    _assert_error(argv, 2, message, capsys)
+
+
 # Every usage error README lists, as {id: (argv builder, argparse's message)}
 _USAGE_ERRORS = {
     "unknown-command": (lambda p: ["frobnicate"], "invalid choice"),
