@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -193,18 +194,30 @@ def cmd_analyze(args) -> int:
     if _depth(parameters) > MAX_SIDECAR_DEPTH:
         raise ValidationError(f"{meta_path}: sidecar nests deeper than "
                               f"{MAX_SIDECAR_DEPTH} arrays and objects")
-    jcd = normalize(counts)
-    errors = bootstrap(counts, config)
-    report = dataclasses.replace(
-        criteria.evaluate_all(jcd, errors=errors, threshold=args.threshold),
-        total_shots=counts.total, bootstrap_replicates=config.replicates,
-        seed=config.seed, parameters=parameters,
-        label=args.label or parameters.get("label") or Path(args.counts).stem,
-        condition_counts=tuple(int(v) for v in counts.counts.sum(axis=1)))
-
-    # json.dump, not one write of json.dumps: pipebench times it as cli.write_report_s
-    with open(args.report_out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
+    # the report is written to a new file beside it, opened before the
+    # bootstrap so that a path that cannot be written fails before the work,
+    # and moved onto --report-out only once written whole; a symbolic link
+    # is followed, so that the move replaces the file it names, not the link
+    target = Path(os.path.realpath(args.report_out))
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    fh = open(temporary, "x")
+    try:
+        with fh:
+            jcd = normalize(counts)
+            errors = bootstrap(counts, config)
+            report = dataclasses.replace(
+                criteria.evaluate_all(jcd, errors=errors, threshold=args.threshold),
+                total_shots=counts.total, bootstrap_replicates=config.replicates,
+                seed=config.seed, parameters=parameters,
+                label=args.label or parameters.get("label") or Path(args.counts).stem,
+                condition_counts=tuple(int(v) for v in counts.counts.sum(axis=1)))
+            # json.dump, not one write of json.dumps: pipebench times it as
+            # cli.write_report_s
+            json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
     print(f"wrote {args.report_out}")
     return EXIT_OK
 

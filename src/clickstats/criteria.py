@@ -57,9 +57,10 @@ WHY_UNDEFINED = {
 # (ROADMAP items 1-2; strict xfails in tests/test_criteria.py).
 EXACT_MARGIN_TOL = 1e-9
 
-# The single eigen-solve of stack_statistics: ascending eigenvalues of a stack
-# of symmetric matrices. stack_statistics calls it through this module-level
-# name because the pipeline benchmark's tracer patches it under that name.
+# stack_statistics' eigen-solve: ascending eigenvalues of a stack of symmetric
+# matrices. stack_statistics calls it through this module-level name because
+# the pipeline benchmark's tracer patches it under that name. The point
+# eigenvectors of ``point_bounds`` come from np.linalg.eigh.
 jacobi_eigh = np.linalg.eigvalsh
 
 
@@ -73,7 +74,9 @@ class StackStatistics:
     ``eigenvalues[..., a]`` the smallest eigenvalue of condition a's full
     (N_B//2 + 1)-square moment matrix, solved on the orders the stack reaches
     (see ``stack_statistics``); both are NaN on unsupported conditions
-    (c(a) = 0).
+    (c(a) = 0). An eigenvalue that point bounds proved above its member's
+    frak_n is not solved and reads +inf, so frak_n is still the fmin of the
+    member's eigenvalues.
     """
 
     values: dict
@@ -127,7 +130,69 @@ def _q_parameter(e: np.ndarray, var: np.ndarray, bins: int) -> np.ndarray:
         return np.where(inside, bins * var / (e * (bins - e)) - 1.0, np.nan)
 
 
-def stack_statistics(probs, clicks=None) -> StackStatistics:
+def point_bounds(moments: np.ndarray, order: int) -> tuple:
+    """What ``stack_statistics`` needs of a point estimate to prune the
+    eigen-solves of a stack at ``order``, from the point's
+    ``StackStatistics.moments``. For each condition a it gives the smallest
+    eigenvalue λ_a of the (order+1)-square moment matrix P_a, the
+    autoconvolution v_a ∗ v_a of λ_a's unit eigenvector and P_a's moments
+    0..2*order; all three are NaN on unsupported conditions."""
+    moments = moments[:, :2 * order + 1]
+    lowest, conv = np.full(len(moments), np.nan), np.full(moments.shape, np.nan)
+    rows = ~np.isnan(moments[:, 0])
+    values, vectors = np.linalg.eigh(moments[rows][:, _hankel(order)])
+    lowest[rows] = values[:, 0]
+    conv[rows] = [np.convolve(v, v) for v in vectors[:, :, 0]]
+    return lowest, conv, moments
+
+
+def _above_minimum(moments: np.ndarray, bounds: tuple, order: int) -> np.ndarray:
+    """True on the (member, condition) pairs whose smallest eigenvalue the
+    point ``bounds`` (see ``point_bounds``) prove above the member's frak_n.
+
+    With n = order + 1, v ∗ v the autoconvolution and w_k = min(k, 2*order
+    - k) + 1 the number of entries of anti-diagonal k, a Hankel moment
+    matrix H(m) has vᵀH(m)v = m · (v ∗ v) and ‖H(d)‖_F² = Σ_k w_k d_k². So,
+    from the moment table alone, member r's frak_n is at most
+    U_r = min_a M_{r,a} · (v_a ∗ v_a) (Rayleigh–Ritz), and condition a's
+    smallest eigenvalue at least λ_a − ‖H(M_{r,a} − P_a)‖_F (Weyl's
+    inequality; Golub & Van Loan, Matrix Computations, §8.1). A pair whose
+    lower bound, less a slack, exceeds U_r cannot hold the minimum: the
+    condition attaining U_r is solved and reads no more.
+
+    The slack makes this hold for computed numbers: the eigenvalue LAPACK
+    would return for a pruned pair is never below the one it returns for the
+    condition attaining U_r, so frak_n is the same bit for bit. Every moment
+    lies in [0, 1], so each matrix has ‖·‖₂ ≤ ‖·‖_F ≤ n. With ε the machine
+    epsilon and LAPACK's eigenvalue error taken as nε‖A‖₂ (the LAPACK Users'
+    Guide gives p(n)ε‖A‖₂, p a modestly growing function), the errors are:
+
+    - three eigen-solves, the pruned pair's, the attaining pair's and the
+      point's: 3n²ε;
+    - the Frobenius norm, 2n - 1 weighted squares of rounded differences
+      summed and a square root, relative error (n + 2)ε/2 on a norm ≤ 2n:
+      3n²ε;
+    - the Rayleigh bound, v ∗ v and its product with the moments, relative
+      error about 3nε/2 on Σ_ij |v_i v_j| ≤ n: 2n²ε;
+    - a computed v_a whose squared norm is off 1 by nε, which moves
+      vᵀMv / ‖v‖² by n · nε: n²ε;
+    - the two subtractions λ_a − ‖·‖_F − slack, on values ≤ 3n: 3n²ε.
+
+    They sum to 12n²ε. The slack is 16n²ε, which also covers moments that
+    round to just above 1. NaN bounds, of conditions the point does not
+    support, prove nothing.
+    """
+    lowest, conv, centre = bounds
+    moments = moments[..., :2 * order + 1]
+    upper = np.fmin.reduce(np.einsum("...ak,ak->...a", moments, conv), axis=-1)
+    diff = moments - centre
+    diff *= diff
+    frobenius = np.sqrt(diff @ np.bincount(_hankel(order).ravel()))
+    slack = 16 * (order + 1) ** 2 * np.finfo(float).eps
+    return lowest - frobenius - slack > upper[..., None]
+
+
+def stack_statistics(probs, clicks=None, bounds=None) -> StackStatistics:
     """All statistics of click distributions of shape (..., N_A+1, N_B+1).
 
     ``clicks = (rows, cols)``, two integer arrays, gives the click numbers of
@@ -145,6 +210,12 @@ def stack_statistics(probs, clicks=None) -> StackStatistics:
     min(0, the block's). So the solve runs at order min(k, N_B//2) and, below
     N_B//2, clamps at 0. The point estimate and every bootstrap chunk run
     this one rule.
+
+    ``bounds``, a function of that order returning a point estimate's
+    ``point_bounds``, prunes the solve: only the pairs that can hold their
+    member's minimum are gathered and solved (see ``_above_minimum``), and
+    the others read +inf. frak_n and every solved eigenvalue are the same
+    bit for bit as without it.
 
     Conditional moments come from one table, ``c(a, b) @ W.T`` with
     W[m, b] = C(b, m) / C(N_B, m), which holds c(a) <:pi_B^m:>_|a; divided by
@@ -198,14 +269,18 @@ def stack_statistics(probs, clicks=None) -> StackStatistics:
         gamma_cl_max = np.where(denom != 0.0,
                                 np.sqrt(np.abs(n_a * n_b * q_a * q_b / denom)), np.nan)
 
-    # solve only the (distribution, condition) pairs that are supported, at
-    # the moment orders up to k, the highest column of arm B with probability
-    # in any member (see the docstring)
+    # solve only the (distribution, condition) pairs that are supported and,
+    # given bounds, can hold the minimum, at the moment orders up to k, the
+    # highest column of arm B with probability in any member (see the
+    # docstring)
     cols = cb.nonzero()[-1]
     order = min(int(clicks_b[cols.max()]) if cols.size else 0, n_b // 2)
-    smallest = jacobi_eigh(moments[supported][:, _hankel(order)])[:, 0]
-    eigenvalues = np.full(supported.shape, np.nan)
-    eigenvalues[supported] = smallest if order == n_b // 2 else np.minimum(smallest, 0.0)
+    solve = supported
+    if bounds is not None:
+        solve = supported & ~_above_minimum(moments, bounds(order), order)
+    smallest = jacobi_eigh(moments[solve][:, _hankel(order)])[:, 0]
+    eigenvalues = np.where(supported, np.inf, np.nan)
+    eigenvalues[solve] = smallest if order == n_b // 2 else np.minimum(smallest, 0.0)
 
     values = {
         "summed_click_mean": mean_a + mean_b,

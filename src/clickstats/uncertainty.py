@@ -27,7 +27,7 @@ both grids, still takes the remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, repeat
 
 import numpy as np
@@ -150,6 +150,12 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
     row and replicate, fit in CHUNK_BYTES, or of one replicate where a single
     one does not; a statistic is dropped from the replicates on which it is
     undefined (NaN).
+
+    The point distribution is scored once, and its ``criteria.point_bounds``
+    at each moment order a chunk reaches let stack_statistics solve only the
+    (replicate, condition) pairs that can hold the replicate's frak_n. A
+    pruned pair's eigenvalue reads +inf; every frak_n, and so every standard
+    error, is the same bit for bit as with every pair solved.
     """
     total = counts.total
     # the support grid: rows and columns with a count, and always the last
@@ -160,13 +166,15 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
     pflat = support.ravel() / total
     n_b = keep_b.size - 1
     chunk = max(1, CHUNK_BYTES // (8 * clicks[0].size * (n_b // 2 + 1) ** 2))
+    point = criteria.stack_statistics(support / total, clicks).moments
+    bounds = lru_cache(maxsize=None)(partial(criteria.point_bounds, point))
 
     children = _child_generators(cfg.seed, cfg.replicates)
     samples: dict[str, list] = {name: [] for name in cfg.statistics}
     for _ in range(0, cfg.replicates, chunk):
         draws = np.array([rng.multinomial(total, pflat) for rng in islice(children, chunk)])
         scored = criteria.stack_statistics(draws.reshape(-1, *support.shape) / total,
-                                           clicks).values
+                                           clicks, bounds).values
         for name in cfg.statistics:
             samples[name].append(scored[name])
 

@@ -330,6 +330,13 @@ _DATA_ERRORS = {
         p, "--state", "split-photon", "--shots", 10), "split-photon requires --t2"),
     "non-utf8-sidecar": (lambda p: _sidecar_text(p, b"\xff"), "not UTF-8"),
     "non-utf8-report": (lambda p: _report_text(p, b"\xff"), "not UTF-8"),
+    "report-schema-mismatch": (lambda p: _report_text(p, json.dumps({"schema_version": 99})),
+                               "unsupported report schema version: 99"),
+    # analyze opens its report before the bootstrap, which took 2.9 s at 1000
+    # replicates of 64-bin counts before this path failed
+    "report-out-in-missing-directory": (lambda p: [
+        "analyze", "--counts", _counts_file(p), "--replicates", 10, "--seed", 1,
+        "--report-out", p / "missing" / "r.json"], "No such file or directory"),
 }
 
 
@@ -460,6 +467,37 @@ def test_byte_order_mark_is_read(tmp_path):
     assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
+def test_failed_analyze_leaves_the_report_as_it_was(tmp_path, capsys, monkeypatch):
+    # the report is written beside its path and moved onto it when whole: a
+    # run that fails after the report was opened leaves an earlier run's
+    # report as it was, and no other file
+    counts = simulate_sp(tmp_path)
+    analyze = ["analyze", "--counts", counts, "--replicates", 10,
+               "--report-out", tmp_path / "r.json"]
+    assert run([*analyze, "--seed", 1]) == 0
+    report = (tmp_path / "r.json").read_bytes()
+    files = sorted(tmp_path.iterdir())
+
+    def fails(*args):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "bootstrap", fails)
+    assert run([*analyze, "--seed", 2]) == 2
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert (tmp_path / "r.json").read_bytes() == report
+    assert sorted(tmp_path.iterdir()) == files
+
+
+def test_report_out_through_a_link_writes_the_linked_file(tmp_path):
+    counts = simulate_sp(tmp_path)
+    (tmp_path / "reports").mkdir()
+    (tmp_path / "r.json").symlink_to(tmp_path / "reports" / "r.json")
+    assert run(["analyze", "--counts", counts, "--replicates", 10, "--seed", 1,
+                "--report-out", tmp_path / "r.json"]) == 0
+    assert (tmp_path / "r.json").is_symlink()
+    assert json.loads((tmp_path / "reports" / "r.json").read_text())["provenance"]["seed"] == 1
+
+
 def test_analyze_reproducible(tmp_path):
     counts = simulate_sp(tmp_path)
     paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
@@ -526,12 +564,6 @@ def test_report_under_an_ascii_locale(tmp_path):
         [cs.CriteriaReport.from_dict(json.loads(report_path.read_text()))])
     assert "✓" in table or "✗" in table
     assert done.stdout == table.encode("ascii", "backslashreplace") + b"\n"
-
-
-def test_report_schema_mismatch(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema_version": 99}))
-    assert run(["report", bad]) == 2
 
 
 def test_degenerate_counts_give_strict_json(tmp_path):

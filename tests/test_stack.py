@@ -2,13 +2,14 @@
 benchmark's reference statistics and its scalar accessor ``statistic``."""
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import clickstats as cs
-from clickstats.criteria import WHY_UNDEFINED, moment_matrix, stack_statistics
+from clickstats.criteria import WHY_UNDEFINED, moment_matrix, point_bounds, stack_statistics
 from clickstats.uncertainty import STATISTICS
 
 import reference  # read-only: the benchmark's own statistics
@@ -265,3 +266,71 @@ def test_one_outcome_marginal_is_degenerate():
     assert np.isnan(values["q_b"][[0, 2]]).all() and values["q_b"][1] == -1.0
     for name in ("kappa", "kappa_cl_max", "gamma", "gamma_cl_max"):
         assert np.isnan(values[name]).all(), name
+
+
+def pruning_case(kind, bins_a, bins_b, top, reach, concentration, shots, depth, seed):
+    """A point distribution and a stack of ``depth`` multinomial draws of
+    ``shots`` shots from it, as a bootstrap chunk is drawn. ``kind`` "random"
+    and "tie" put Dirichlet mass on columns 0..top of arm B, and "tie" gives
+    conditions 0 and 1 equal moment matrices; "rank-1" makes each condition
+    binomial over every column, as coherent light clicks, so every moment
+    matrix has rank 1 and every smallest eigenvalue is about 0. Columns
+    above ``reach`` keep 1e-9 of their mass, so that the draws seldom reach
+    them and the stack's moment order is mostly below the point's."""
+    rng = np.random.default_rng(seed)
+    top = min(top, bins_b)
+    if kind == "rank-1":
+        top = bins_b
+        b = np.arange(bins_b + 1)
+        p = rng.random((bins_a + 1, 1))
+        binomial = np.array([math.comb(bins_b, k) for k in b]) * p**b * (1 - p)**(bins_b - b)
+        point = rng.random((bins_a + 1, 1)) * binomial
+    else:
+        point = np.zeros((bins_a + 1, bins_b + 1))
+        point[:, :top + 1] = rng.dirichlet(
+            np.full((bins_a + 1) * (top + 1), concentration)).reshape(bins_a + 1, top + 1)
+        if kind == "tie":
+            point[1] = point[0]
+    point[:, reach + 1:] *= 1e-9
+    point /= point.sum()
+    draws = rng.multinomial(shots, point.ravel(), size=depth)
+    return point, draws.reshape(depth, *point.shape) / shots
+
+
+@given(kind=st.sampled_from(["random", "tie", "rank-1"]), bins_a=st.integers(2, 12),
+       bins_b=st.integers(2, 16), top=st.integers(0, 16), reach=st.integers(0, 16),
+       concentration=st.floats(0.2, 5.0), shots=st.integers(1, 10**5),
+       depth=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+# two conditions with equal point eigenvalues
+@example(kind="tie", bins_a=8, bins_b=8, top=8, reach=8, concentration=1.0, shots=10**4,
+         depth=8, seed=1)
+# coherent rows: every point eigenvalue near 0, which leaves the bounds least room
+@example(kind="rank-1", bins_a=8, bins_b=16, top=16, reach=16, concentration=1.0,
+         shots=10**5, depth=8, seed=2)
+# the stack reaches column 3 of 16 and the point column 16: the stack is
+# solved at order 3, below the point's order 8, and clamped at 0
+@example(kind="random", bins_a=8, bins_b=16, top=16, reach=3, concentration=1.0, shots=10**3,
+         depth=8, seed=3)
+# the point itself reaches column 5 of 16: its order is 5, below N_B//2 = 8
+@example(kind="random", bins_a=8, bins_b=16, top=5, reach=5, concentration=1.0, shots=10**4,
+         depth=8, seed=4)
+# one-shot replicates are point masses, far from the point estimate: a
+# Frobenius norm that leaves out the anti-diagonal weights prunes their minimum
+@example(kind="rank-1", bins_a=2, bins_b=2, top=0, reach=2, concentration=1.0, shots=1,
+         depth=2, seed=129)
+def test_pruning_never_changes_frak_n(kind, bins_a, bins_b, top, reach, concentration, shots,
+                                      depth, seed):
+    # bounds from the point estimate skip the pairs that cannot hold a
+    # member's minimum; the rest are solved as without them
+    point, stack = pruning_case(kind, bins_a, bins_b, top, reach, concentration, shots, depth,
+                                seed)
+    bounds = partial(point_bounds, stack_statistics(point).moments)
+    pruned = stack_statistics(stack, bounds=bounds)
+    full = stack_statistics(stack)
+    assert pruned.values["frak_n"].tobytes() == full.values["frak_n"].tobytes()
+    skipped = pruned.eigenvalues == np.inf
+    # solved entries equal bit for bit, NaN where unsupported in both
+    assert np.where(skipped, full.eigenvalues, pruned.eigenvalues).tobytes() == \
+        full.eigenvalues.tobytes()
+    assert not np.isnan(full.eigenvalues[skipped]).any()
+    assert (pruned.values["frak_n"] == np.fmin.reduce(pruned.eigenvalues, axis=-1)).all()

@@ -290,6 +290,41 @@ def test_bootstrap_matches_reference(state, eta, shots, bins):
             assert math.isclose(got[name].stderr, stderr, rel_tol=1e-10), name
 
 
+def every_pair_solved(probs, clicks, bounds=None):
+    """stack_statistics as bootstrap calls it, with the point bounds dropped."""
+    return stack_statistics(probs, clicks)
+
+
+@pytest.mark.parametrize("bins", [8, 16, 32])
+@pytest.mark.parametrize("name", ["tmsv", "coherent"])
+def test_pruned_bootstrap_equals_every_pair_solved(name, bins, monkeypatch):
+    # bootstrap's own chunks, drawn by the same generators, replayed with
+    # every supported (replicate, condition) pair solved: the pairs the
+    # point bounds skip change no standard error and no drop fraction
+    state, eta, _ = REFERENCE_CASES[name]
+    counts = cs.sample_counts(exact_jcd(state, cs.DetectorConfig(bins, eta, 1e-4)), 10**5,
+                              seed=bins)
+    solves = {"pruned": 0, "full": 0}
+
+    def counted(run):
+        def solve(matrices):
+            solves[run] += len(matrices)
+            return np.linalg.eigvalsh(matrices)
+        return solve
+
+    for seed in (1, 2, 3):
+        cfg = BootstrapConfig(replicates=200, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(criteria, "jacobi_eigh", counted("pruned"))
+            pruned = bootstrap(counts, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(criteria, "jacobi_eigh", counted("full"))
+            patch.setattr(criteria, "stack_statistics", every_pair_solved)
+            full = bootstrap(counts, cfg)
+        assert pruned == full
+    assert solves["pruned"] < solves["full"]
+
+
 @pytest.mark.parametrize("make_counts, shape, bins", [
     *(pytest.param(make, shape, 8, id=name) for name, (make, shape) in SUPPORT_GRIDS.items()),
     # 129 rows of 65 x 65 matrices: one replicate alone is over the budget
@@ -303,9 +338,10 @@ def test_chunks_stay_within_the_byte_budget(make_counts, shape, bins, monkeypatc
     chunk = max(1, uncertainty.CHUNK_BYTES // matrix_bytes(shape[0], bins))
     shapes = []
 
-    def record(probs, clicks):
-        shapes.append(probs.shape)
-        return stack_statistics(probs, clicks)
+    def record(probs, clicks, bounds=None):
+        if probs.ndim == 3:     # a chunk; the point estimate is scored once, alone
+            shapes.append(probs.shape)
+        return stack_statistics(probs, clicks, bounds)
 
     monkeypatch.setattr(criteria, "stack_statistics", record)
     bootstrap(make_counts(), BootstrapConfig(replicates=chunk + 1, seed=3))
