@@ -17,6 +17,7 @@ input). README's CLI section lists the causes of each.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -140,6 +141,37 @@ def _state_spec(args) -> StateSpec:
     return StateSpec.split_photon(_squared_amplitude(args, "t2"))
 
 
+@contextlib.contextmanager
+def _outputs(paths, inputs=()):
+    """A temporary beside each of ``paths`` for the command to write, moved
+    onto its path once all are written. Entered after the input checks, so
+    that an output that cannot be written, or that names an input or another
+    output, fails before the work. A symbolic link is followed, so that the
+    move replaces the file it names; a temporary is named by the process and
+    its index alone, so that it fits wherever its path does. On any error
+    only the temporaries are removed: every output path is left as it was."""
+    named = {os.path.realpath(path): path for path in inputs}
+    moves = []
+    try:
+        for path in paths:
+            target = os.path.realpath(path)
+            if target in named:
+                raise ValidationError(f"{path}: names the same file as {named[target]}")
+            if os.path.exists(target) and not os.path.isfile(target):
+                raise ValidationError(f"{path}: an output must be a regular file")
+            named[target] = path
+            temporary = f"{os.path.dirname(target)}/.clickstats.{os.getpid()}.{len(moves)}.tmp"
+            open(temporary, "x").close()
+            moves.append((temporary, target))
+        yield [temporary for temporary, _ in moves]
+        for temporary, target in moves:
+            os.replace(temporary, target)
+    except BaseException:
+        for temporary, _ in moves:
+            Path(temporary).unlink(missing_ok=True)
+        raise
+
+
 def cmd_simulate(args) -> int:
     seed = _seed(args)
     check_sampling(args.shots, seed)
@@ -150,34 +182,19 @@ def cmd_simulate(args) -> int:
         efficiency=args.eta_b if args.eta_b is not None else args.eta,
         dark_click=args.nu_b if args.nu_b is not None else args.nu)
 
-    jpd = build_photon_distribution(spec)
-    jcd = joint_click_distribution(jpd, cfg_a, cfg_b)
-    counts = sample_counts(jcd, args.shots, seed)
-
-    written = []
-    try:
-        write_counts_csv(args.counts_out, counts)
-        written.append(args.counts_out)
-        if args.exact_out:
-            _write_csv(args.exact_out, jcd.probs)
-            written.append(args.exact_out)
-        meta = {
-            "state": args.state,
-            "label": jpd.label,
-            "seed": seed,
-            "shots": args.shots,
-            "detector_a": {"bins": cfg_a.bins, "eta": cfg_a.efficiency,
-                           "nu": cfg_a.dark_click},
-            "detector_b": {"bins": cfg_b.bins, "eta": cfg_b.efficiency,
-                           "nu": cfg_b.dark_click},
-        }
-        with open(str(args.counts_out) + ".meta.json", "w") as fh:
-            fh.write(json.dumps(meta, indent=2, allow_nan=False))
-    except OSError:
-        # an output that cannot be written takes the ones written before it along
-        for path in written:
-            Path(path).unlink(missing_ok=True)
-        raise
+    outputs = [args.counts_out, f"{args.counts_out}.meta.json", args.exact_out]
+    with _outputs([path for path in outputs if path]) as (counts_out, sidecar, *exact_out):
+        jpd = build_photon_distribution(spec)
+        jcd = joint_click_distribution(jpd, cfg_a, cfg_b)
+        counts = sample_counts(jcd, args.shots, seed)
+        write_counts_csv(counts_out, counts)
+        for path in exact_out:
+            _write_csv(path, jcd.probs)
+        meta = {"state": args.state, "label": jpd.label, "seed": seed, "shots": args.shots}
+        for arm, cfg in (("a", cfg_a), ("b", cfg_b)):
+            meta[f"detector_{arm}"] = {"bins": cfg.bins, "eta": cfg.efficiency,
+                                       "nu": cfg.dark_click}
+        Path(sidecar).write_text(json.dumps(meta, indent=2, allow_nan=False))
     print(f"wrote {args.counts_out} ({args.shots} shots, seed {seed})")
     return EXIT_OK
 
@@ -194,30 +211,19 @@ def cmd_analyze(args) -> int:
     if _depth(parameters) > MAX_SIDECAR_DEPTH:
         raise ValidationError(f"{meta_path}: sidecar nests deeper than "
                               f"{MAX_SIDECAR_DEPTH} arrays and objects")
-    # the report is written to a new file beside it, opened before the
-    # bootstrap so that a path that cannot be written fails before the work,
-    # and moved onto --report-out only once written whole; a symbolic link
-    # is followed, so that the move replaces the file it names, not the link
-    target = Path(os.path.realpath(args.report_out))
-    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    fh = open(temporary, "x")
-    try:
-        with fh:
-            jcd = normalize(counts)
-            errors = bootstrap(counts, config)
-            report = dataclasses.replace(
-                criteria.evaluate_all(jcd, errors=errors, threshold=args.threshold),
-                total_shots=counts.total, bootstrap_replicates=config.replicates,
-                seed=config.seed, parameters=parameters,
-                label=args.label or parameters.get("label") or Path(args.counts).stem,
-                condition_counts=tuple(int(v) for v in counts.counts.sum(axis=1)))
+    with _outputs([args.report_out], inputs=[args.counts, meta_path]) as [report_out]:
+        jcd = normalize(counts)
+        errors = bootstrap(counts, config)
+        report = dataclasses.replace(
+            criteria.evaluate_all(jcd, errors=errors, threshold=args.threshold),
+            total_shots=counts.total, bootstrap_replicates=config.replicates,
+            seed=config.seed, parameters=parameters,
+            label=args.label or parameters.get("label") or Path(args.counts).stem,
+            condition_counts=tuple(int(v) for v in counts.counts.sum(axis=1)))
+        with open(report_out, "w") as fh:
             # json.dump, not one write of json.dumps: pipebench times it as
             # cli.write_report_s
             json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
-        os.replace(temporary, target)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
     print(f"wrote {args.report_out}")
     return EXIT_OK
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -184,21 +185,45 @@ def _outputs(argv):
     return named + [Path(f"{path}.meta.json") for path in named]
 
 
+def _files(paths):
+    return {path: path.read_bytes() for path in paths if path.is_file()}
+
+
 def _assert_error(argv, code, message, capsys):
     """README's promise for every error: exit ``code``, a stderr that starts
     with argparse's usage (1) or `error: ` (2), names the cause and holds no
-    traceback, and no output file."""
+    traceback, and every output path as it was: no new file, and an existing
+    one, such as an input named as an output, byte-identical."""
+    before = _files(_outputs(argv))
     assert run(argv) == code
     err = capsys.readouterr().err
     assert err.startswith({1: "usage: ", 2: "error: "}[code]) and message in err
     assert "Traceback" not in err
-    assert [path for path in _outputs(argv) if path.is_file()] == []
+    assert _files(_outputs(argv)) == before
 
 
 def _must_not_run(name):
     def ran(*args, **kwargs):
         raise AssertionError(f"cli.{name} ran on input that fails a check")
     return ran
+
+
+def _sidecar_path_is_directory(tmp_path):
+    (tmp_path / "c.csv.meta.json").mkdir()
+    return _simulate(tmp_path, "--state", "tmsv", "--lambda2", 0.1, "--shots", 100,
+                     "--exact-out", tmp_path / "x.csv")
+
+
+def _counts_out_is_directory(tmp_path):
+    # the move onto it, after the work, was the first step to fail
+    (tmp_path / "c.csv").mkdir()
+    return _simulate(tmp_path, "--state", "tmsv", "--lambda2", 0.1, "--shots", 100)
+
+
+def _report_out_links_to_counts(tmp_path):
+    argv = _analyze(tmp_path, "--replicates", 10, "--seed", 1)
+    argv[-1].symlink_to(tmp_path / "c.csv")
+    return argv
 
 
 # Every data error README lists, as {id: (argv builder, message)}
@@ -337,6 +362,30 @@ _DATA_ERRORS = {
     "report-out-in-missing-directory": (lambda p: [
         "analyze", "--counts", _counts_file(p), "--replicates", 10, "--seed", 1,
         "--report-out", p / "missing" / "r.json"], "No such file or directory"),
+    # simulate opens every output before the exact distribution is built; the
+    # counts file stayed behind without its sidecar, and a later analyze
+    # reported empty parameters
+    "exact-out-in-missing-directory": (lambda p: _simulate(
+        p, "--state", "tmsv", "--lambda2", 0.1, "--shots", 100,
+        "--exact-out", p / "missing" / "x.csv"), "No such file or directory"),
+    "sidecar-path-is-directory": (_sidecar_path_is_directory, "an output must be a regular file"),
+    "counts-out-is-directory": (_counts_out_is_directory, "an output must be a regular file"),
+    # the exact distribution replaced the counts, which analyze then rejected
+    "exact-out-is-counts-out": (lambda p: _simulate(
+        p, "--state", "tmsv", "--lambda2", 0.1, "--shots", 100, "--exact-out", p / "c.csv"),
+        "names the same file as"),
+    # the sidecar replaced the exact distribution
+    "exact-out-is-sidecar": (lambda p: _simulate(
+        p, "--state", "tmsv", "--lambda2", 0.1, "--shots", 100,
+        "--exact-out", p / "c.csv.meta.json"), "names the same file as"),
+    # the report replaced the counts it was computed from
+    "report-out-is-counts": (lambda p: [
+        "analyze", "--counts", _counts_file(p), "--replicates", 10, "--seed", 1,
+        "--report-out", p / "c.csv"], "names the same file as"),
+    "report-out-is-sidecar": (lambda p: [
+        *_sidecar_text(p, '{"label": "x"}')[:-1], p / "c.csv.meta.json"],
+        "names the same file as"),
+    "report-out-links-to-counts": (_report_out_links_to_counts, "names the same file as"),
 }
 
 
@@ -349,23 +398,6 @@ def test_malformed_input_is_data_error(tmp_path, capsys, monkeypatch, deadline, 
     for name in ("build_photon_distribution", "bootstrap"):
         monkeypatch.setattr(cli, name, _must_not_run(name))
     _assert_error(argv, 2, message, capsys)
-
-
-def _sidecar_path_is_directory(tmp_path):
-    (tmp_path / "c.csv.meta.json").mkdir()
-    return _simulate(tmp_path, "--state", "tmsv", "--lambda2", 0.1, "--shots", 100,
-                     "--exact-out", tmp_path / "x.csv")
-
-
-@pytest.mark.parametrize("make_argv, message", [
-    (lambda p: _simulate(p, "--state", "tmsv", "--lambda2", 0.1, "--shots", 100,
-                         "--exact-out", p / "missing" / "x.csv"), "No such file or directory"),
-    (_sidecar_path_is_directory, "Is a directory"),
-], ids=["exact-out-in-missing-directory", "sidecar-path-is-directory"])
-def test_simulate_that_cannot_write_leaves_no_output(tmp_path, capsys, make_argv, message):
-    # the counts file stayed behind without its sidecar, and a later analyze
-    # reported empty parameters
-    _assert_error(make_argv(tmp_path), 2, message, capsys)
 
 
 @pytest.mark.parametrize("shots, message", [
@@ -496,6 +528,101 @@ def test_report_out_through_a_link_writes_the_linked_file(tmp_path):
                 "--report-out", tmp_path / "r.json"]) == 0
     assert (tmp_path / "r.json").is_symlink()
     assert json.loads((tmp_path / "reports" / "r.json").read_text())["provenance"]["seed"] == 1
+
+
+def _both_commands(tmp_path, seed, exact_out="x.csv"):
+    """simulate's counts, sidecar and exact file, then analyze's report."""
+    return (["simulate", "--state", "tmsv", "--lambda2", 0.1, "--shots", 100, "--seed", seed,
+             "--counts-out", tmp_path / "c.csv", "--exact-out", tmp_path / exact_out],
+            ["analyze", "--counts", tmp_path / "c.csv", "--replicates", 10, "--seed", seed,
+             "--report-out", tmp_path / "r.json"])
+
+
+def _tree(directory):
+    return _files(sorted(directory.rglob("*")))
+
+
+def _no_space():
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _write_header(path, counts):
+    Path(path).write_text(f"# bins_a={counts.bins_a} bins_b={counts.bins_b}\n")
+
+
+def _write_header_then_fail(path, counts):
+    _write_header(path, counts)
+    _no_space()
+
+
+def _dump_first_line_then_fail(obj, fh, **kwargs):
+    fh.write("{\n")
+    _no_space()
+
+
+@pytest.mark.parametrize("command, exact_out, patch, message", [
+    (0, "missing/x.csv", None, "No such file or directory"),
+    (0, "x.csv", (cli, "write_counts_csv", _write_header_then_fail), "No space left on device"),
+    (1, "x.csv", (cli.json, "dump", _dump_first_line_then_fail), "No space left on device"),
+], ids=["simulate-exact-out-in-missing-directory", "simulate-counts-write-fails",
+        "analyze-report-write-fails"])
+def test_failed_rerun_leaves_every_file_as_it_was(tmp_path, capsys, monkeypatch, command,
+                                                  exact_out, patch, message):
+    # every output is written beside its path and moved onto it once all are
+    # written: a re-run that fails before its work or midway through a write
+    # leaves the first run's files byte-identical, and no other file; a
+    # failed re-run of simulate deleted the first run's counts and kept their
+    # sidecar
+    for argv in _both_commands(tmp_path, 1):
+        assert run(argv) == 0
+    files = _tree(tmp_path)
+    if patch:
+        monkeypatch.setattr(*patch)
+    assert run(_both_commands(tmp_path, 2, exact_out)[command]) == 2
+    assert message in capsys.readouterr().err
+    assert _tree(tmp_path) == files
+
+
+def test_interrupted_simulate_leaves_every_file_as_it_was(tmp_path, monkeypatch):
+    # an exception that is no error, such as Ctrl-C midway through a write,
+    # removes the temporaries too
+    simulate = _both_commands(tmp_path, 1)[0]
+    assert run(simulate) == 0
+    files = _tree(tmp_path)
+
+    def interrupted(path, counts):
+        _write_header(path, counts)
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "write_counts_csv", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(simulate)
+    assert _tree(tmp_path) == files
+
+
+def test_counts_out_through_a_link_writes_the_linked_file(tmp_path):
+    # the sidecar goes beside the link, where analyze reads it
+    (tmp_path / "data").mkdir()
+    (tmp_path / "c.csv").symlink_to(tmp_path / "data" / "c.csv")
+    for argv in _both_commands(tmp_path, 1):
+        assert run(argv) == 0
+    assert (tmp_path / "c.csv").is_symlink()
+    assert read_counts_csv(tmp_path / "data" / "c.csv").total == 100
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "c.csv", "c.csv.meta.json", "data", "r.json", "x.csv"]
+    assert json.loads((tmp_path / "r.json").read_text())["provenance"]["parameters"]["seed"] == 1
+
+
+def test_outputs_with_the_longest_names_the_directory_takes(tmp_path):
+    # a temporary named after its output did not fit beside it
+    longest = os.pathconf(tmp_path, "PC_NAME_MAX")
+    counts = tmp_path / ("c" * (longest - len(".meta.json")))
+    exact, report = tmp_path / ("x" * longest), tmp_path / ("r" * longest)
+    assert run(["simulate", "--state", "tmsv", "--lambda2", 0.1, "--shots", 100, "--seed", 1,
+                "--counts-out", counts, "--exact-out", exact]) == 0
+    assert run(["analyze", "--counts", counts, "--replicates", 10, "--seed", 1,
+                "--report-out", report]) == 0
+    assert sorted(tmp_path.iterdir()) == sorted(
+        [counts, Path(f"{counts}.meta.json"), exact, report])
 
 
 def test_analyze_reproducible(tmp_path):
