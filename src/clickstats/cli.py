@@ -146,10 +146,12 @@ def _outputs(paths, inputs=()):
     """A temporary beside each of ``paths`` for the command to write, moved
     onto its path once all are written. Entered after the input checks, so
     that an output that cannot be written, or that names an input or another
-    output, fails before the work. A symbolic link is followed, so that the
-    move replaces the file it names; a temporary is named by the process and
-    its index alone, so that it fits wherever its path does. On any error
-    only the temporaries are removed: every output path is left as it was."""
+    output, fails before the work, with an OS error that names the path
+    given. A symbolic link is followed, so that the move replaces the file it
+    names; a temporary is named by a random token alone, so that it fits
+    wherever its path does and no leftover of a killed run blocks it. On any
+    error only the temporaries are removed: every output path is left as it
+    was."""
     named = {os.path.realpath(path): path for path in inputs}
     moves = []
     try:
@@ -160,8 +162,11 @@ def _outputs(paths, inputs=()):
             if os.path.exists(target) and not os.path.isfile(target):
                 raise ValidationError(f"{path}: an output must be a regular file")
             named[target] = path
-            temporary = f"{os.path.dirname(target)}/.clickstats.{os.getpid()}.{len(moves)}.tmp"
-            open(temporary, "x").close()
+            temporary = f"{os.path.dirname(target)}/.clickstats.{os.urandom(8).hex()}.tmp"
+            try:
+                open(temporary, "x").close()
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
             moves.append((temporary, target))
         yield [temporary for temporary, _ in moves]
         for temporary, target in moves:

@@ -35,7 +35,7 @@ import numpy as np
 from . import criteria
 from .model import CountMatrix, ValidationError, as_int
 
-# statistic name -> callable on a JointClickDistribution
+# name -> criteria.statistic of that name; only pipebench/tracer.py reads it
 STATISTICS: dict = {name: partial(criteria.statistic, name=name)
                     for name in criteria.WHY_UNDEFINED}
 
@@ -56,11 +56,11 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """``statistics`` selects the standard errors bootstrap returns; every
-    replicate still scores all of STATISTICS."""
+    """``statistics`` selects the standard errors bootstrap returns, by names
+    of criteria.WHY_UNDEFINED; every replicate still scores all of them."""
     replicates: int = 1000
     seed: int = 0
-    statistics: tuple = tuple(STATISTICS)
+    statistics: tuple = tuple(criteria.WHY_UNDEFINED)
 
     def __post_init__(self) -> None:
         for name in ("replicates", "seed"):
@@ -71,7 +71,7 @@ class BootstrapConfig:
             raise ValidationError(f"replicates must be below 2^32, got {self.replicates}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        unknown = set(self.statistics) - set(STATISTICS)
+        unknown = set(self.statistics) - set(criteria.WHY_UNDEFINED)
         if unknown:
             raise ValidationError(f"unknown statistics: {sorted(unknown)}")
 

@@ -45,6 +45,8 @@ def test_names_the_workloads_call():
                cli.read_counts_csv, cli.cmd_analyze):
         assert callable(fn)
     assert isinstance(uncertainty.STATISTICS, dict)
+    # the tracer patches an entry per statistic the bootstrap scores
+    assert uncertainty.STATISTICS.keys() == criteria.WHY_UNDEFINED.keys()
     cfg = BootstrapConfig(2, 0, ("summed_click_mean",))
     assert (cfg.replicates, cfg.seed, cfg.statistics) == (2, 0, ("summed_click_mean",))
     counts = model.CountMatrix(np.array([[5, 1, 0], [1, 2, 0], [0, 0, 1]]))

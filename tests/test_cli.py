@@ -192,13 +192,14 @@ def _files(paths):
 def _assert_error(argv, code, message, capsys):
     """README's promise for every error: exit ``code``, a stderr that starts
     with argparse's usage (1) or `error: ` (2), names the cause and holds no
-    traceback, and every output path as it was: no new file, and an existing
-    one, such as an input named as an output, byte-identical."""
+    traceback or temporary's name, and every output path as it was: no new
+    file, and an existing one, such as an input named as an output,
+    byte-identical."""
     before = _files(_outputs(argv))
     assert run(argv) == code
     err = capsys.readouterr().err
     assert err.startswith({1: "usage: ", 2: "error: "}[code]) and message in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and ".clickstats." not in err
     assert _files(_outputs(argv)) == before
 
 
@@ -226,7 +227,8 @@ def _report_out_links_to_counts(tmp_path):
     return argv
 
 
-# Every data error README lists, as {id: (argv builder, message)}
+# Every data error README lists, as {id: (argv builder, message)}; a message
+# that holds a row's own path is a function of the test's directory
 _DATA_ERRORS = {
     "non-utf8-counts": (lambda p: _counts_text(p, b"# bins_a=2 bins_b=2\n\xff\xfe,0,0\n"
                                                   b"0,0,0\n0,0,1\n"), "not UTF-8"),
@@ -358,16 +360,19 @@ _DATA_ERRORS = {
     "report-schema-mismatch": (lambda p: _report_text(p, json.dumps({"schema_version": 99})),
                                "unsupported report schema version: 99"),
     # analyze opens its report before the bootstrap, which took 2.9 s at 1000
-    # replicates of 64-bin counts before this path failed
+    # replicates of 64-bin counts before this path failed; the error named
+    # the report's temporary, not the path given
     "report-out-in-missing-directory": (lambda p: [
         "analyze", "--counts", _counts_file(p), "--replicates", 10, "--seed", 1,
-        "--report-out", p / "missing" / "r.json"], "No such file or directory"),
+        "--report-out", p / "missing" / "r.json"],
+        lambda p: f"No such file or directory: '{p / 'missing' / 'r.json'}'"),
     # simulate opens every output before the exact distribution is built; the
     # counts file stayed behind without its sidecar, and a later analyze
     # reported empty parameters
     "exact-out-in-missing-directory": (lambda p: _simulate(
         p, "--state", "tmsv", "--lambda2", 0.1, "--shots", 100,
-        "--exact-out", p / "missing" / "x.csv"), "No such file or directory"),
+        "--exact-out", p / "missing" / "x.csv"),
+        lambda p: f"No such file or directory: '{p / 'missing' / 'x.csv'}'"),
     "sidecar-path-is-directory": (_sidecar_path_is_directory, "an output must be a regular file"),
     "counts-out-is-directory": (_counts_out_is_directory, "an output must be a regular file"),
     # the exact distribution replaced the counts, which analyze then rejected
@@ -397,7 +402,7 @@ def test_malformed_input_is_data_error(tmp_path, capsys, monkeypatch, deadline, 
     argv = make_argv(tmp_path)
     for name in ("build_photon_distribution", "bootstrap"):
         monkeypatch.setattr(cli, name, _must_not_run(name))
-    _assert_error(argv, 2, message, capsys)
+    _assert_error(argv, 2, message(tmp_path) if callable(message) else message, capsys)
 
 
 @pytest.mark.parametrize("shots, message", [
@@ -561,7 +566,7 @@ def _dump_first_line_then_fail(obj, fh, **kwargs):
 
 
 @pytest.mark.parametrize("command, exact_out, patch, message", [
-    (0, "missing/x.csv", None, "No such file or directory"),
+    (0, "missing/x.csv", None, "No such file or directory: '{path}'"),
     (0, "x.csv", (cli, "write_counts_csv", _write_header_then_fail), "No space left on device"),
     (1, "x.csv", (cli.json, "dump", _dump_first_line_then_fail), "No space left on device"),
 ], ids=["simulate-exact-out-in-missing-directory", "simulate-counts-write-fails",
@@ -572,15 +577,33 @@ def test_failed_rerun_leaves_every_file_as_it_was(tmp_path, capsys, monkeypatch,
     # written: a re-run that fails before its work or midway through a write
     # leaves the first run's files byte-identical, and no other file; a
     # failed re-run of simulate deleted the first run's counts and kept their
-    # sidecar
+    # sidecar. The error names the path given, not its temporary.
     for argv in _both_commands(tmp_path, 1):
         assert run(argv) == 0
     files = _tree(tmp_path)
     if patch:
         monkeypatch.setattr(*patch)
     assert run(_both_commands(tmp_path, 2, exact_out)[command]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message.format(path=tmp_path / exact_out) in err and ".clickstats." not in err
     assert _tree(tmp_path) == files
+
+
+def test_leftover_temporaries_block_no_later_run(tmp_path):
+    # SIGTERM and SIGKILL skip the temporaries' removal. Named by the process
+    # id and index, a killed run's leftover made a later run with the same id
+    # exit 2 with "File exists"; a leftover is neither reused nor removed.
+    leftovers = {tmp_path / f".clickstats.{os.getpid()}.{i}.tmp": f"run {i}\n".encode()
+                 for i in range(4)}
+    for path, data in leftovers.items():
+        path.write_bytes(data)
+    for argv in _both_commands(tmp_path, 1):
+        assert run(argv) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        [path.name for path in leftovers] + ["c.csv", "c.csv.meta.json", "r.json", "x.csv"])
+    assert _files(leftovers) == leftovers
+    assert read_counts_csv(tmp_path / "c.csv").total == 100
+    assert json.loads((tmp_path / "r.json").read_text())["provenance"]["seed"] == 1
 
 
 def test_interrupted_simulate_leaves_every_file_as_it_was(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from hypothesis import example, given, strategies as st
 
 import clickstats as cs
 from clickstats.criteria import WHY_UNDEFINED, moment_matrix, point_bounds, stack_statistics
-from clickstats.uncertainty import STATISTICS
 
 import reference  # read-only: the benchmark's own statistics
 from exact import exact_jcd
@@ -55,15 +54,9 @@ def test_scalar_wrappers_equal_stack_rows(probs):
     stacked = stack_statistics(probs)
     for i, dist in enumerate(probs):
         jcd = cs.JointClickDistribution(dist)
-        row = {name: stacked.values[name][i] for name in WHY_UNDEFINED}
-        assert same(cs.statistic(jcd, "kappa"), row["kappa"])
-        assert same(cs.statistic(jcd, "kappa_cl_max"), row["kappa_cl_max"])
-        assert same(cs.statistic(jcd, "gamma"), row["gamma"])
-        assert same(cs.statistic(jcd, "gamma_cl_max"), row["gamma_cl_max"])
-        assert same(cs.statistic(jcd, "frak_n"), row["frak_n"])
-        assert same(summed_click_mean(jcd), row["summed_click_mean"])
-        for name, fn in STATISTICS.items():
-            assert same(fn(jcd), row[name])
+        for name in WHY_UNDEFINED:
+            assert same(cs.statistic(jcd, name), stacked.values[name][i]), name
+        assert same(summed_click_mean(jcd), stacked.values["summed_click_mean"][i])
         for a in range(jcd.bins_a + 1):
             assert same(min_eigenvalue(moment_matrix(jcd, a))[0],
                         stacked.eigenvalues[i, a])

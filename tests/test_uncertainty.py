@@ -12,8 +12,8 @@ from hypothesis import example, given, strategies as st
 import clickstats as cs
 from clickstats import criteria, uncertainty
 from clickstats.criteria import stack_statistics
-from clickstats.model import UndefinedStatisticError, ValidationError
-from clickstats.uncertainty import STATISTICS, BootstrapConfig, _child_generators, bootstrap
+from clickstats.model import ValidationError
+from clickstats.uncertainty import BootstrapConfig, _child_generators, bootstrap
 
 import reference  # read-only: the benchmark's own bootstrap
 from exact import exact_jcd, tmsv_jcd
@@ -25,9 +25,11 @@ def coherent_counts(shots, seed=21):
 
 
 def test_config_validation():
+    # the default and the name check both read criteria.WHY_UNDEFINED
+    assert BootstrapConfig().statistics == tuple(criteria.WHY_UNDEFINED)
     with pytest.raises(ValidationError):
         BootstrapConfig(replicates=1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="unknown statistics: \\['no_such_stat'\\]"):
         BootstrapConfig(statistics=("no_such_stat",))
     with pytest.raises(ValidationError, match="seed"):
         BootstrapConfig(seed=-1)
@@ -142,19 +144,18 @@ def test_statistic_subset():
 
 
 def serial_replay(counts, cfg):
-    """The bootstrap one replicate at a time through the scalar statistics:
+    """The bootstrap one spawned child at a time on the full grid, each
+    replicate scored by one stack_statistics call with no point bounds:
     name -> (standard error or None, drop fraction)."""
     total = counts.total
     pflat = counts.counts.ravel() / total
     samples = {name: [] for name in cfg.statistics}
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.replicates):
         draw = np.random.default_rng(child).multinomial(total, pflat)
-        jcd = cs.JointClickDistribution(draw.reshape(counts.counts.shape) / total)
+        scored = stack_statistics(draw.reshape(counts.counts.shape) / total).values
         for name in cfg.statistics:
-            try:
-                samples[name].append(STATISTICS[name](jcd))
-            except UndefinedStatisticError:
-                pass
+            if not math.isnan(value := float(scored[name])):
+                samples[name].append(value)
     out = {}
     for name, values in samples.items():
         drop = 1.0 - len(values) / cfg.replicates
