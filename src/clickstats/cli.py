@@ -19,9 +19,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
+import shutil
+import stat
 import sys
 from pathlib import Path
 
@@ -156,10 +159,16 @@ def _outputs(paths, inputs=()):
     moves = []
     try:
         for path in paths:
+            if not path:
+                raise ValidationError("an output path must not be empty")
             target = os.path.realpath(path)
             if target in named:
                 raise ValidationError(f"{path}: names the same file as {named[target]}")
-            if os.path.exists(target) and not os.path.isfile(target):
+            try:
+                regular = stat.S_ISREG(os.stat(target).st_mode)
+            except (OSError, ValueError):
+                regular = True  # absent or unreadable: creating the temporary says why
+            if not regular:
                 raise ValidationError(f"{path}: an output must be a regular file")
             named[target] = path
             temporary = f"{os.path.dirname(target)}/.clickstats.{os.urandom(8).hex()}.tmp"
@@ -188,7 +197,8 @@ def cmd_simulate(args) -> int:
         dark_click=args.nu_b if args.nu_b is not None else args.nu)
 
     outputs = [args.counts_out, f"{args.counts_out}.meta.json", args.exact_out]
-    with _outputs([path for path in outputs if path]) as (counts_out, sidecar, *exact_out):
+    outputs = [path for path in outputs if path is not None]
+    with _outputs(outputs) as (counts_out, sidecar, *exact_out):
         jpd = build_photon_distribution(spec)
         jcd = joint_click_distribution(jpd, cfg_a, cfg_b)
         counts = sample_counts(jcd, args.shots, seed)
@@ -269,13 +279,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="clickstats",
-        description="Simulate and analyze two-mode click-counting statistics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="generate a simulated counts file")
+def _simulate_arguments(sim) -> None:
     sim.add_argument("--state", required=True,
                      choices=["coherent", "tmsv", "split-photon"])
     sim.add_argument("--mean-a", type=float, default=0.0,
@@ -295,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--exact-out", help="also write the exact distribution CSV")
     sim.set_defaults(func=cmd_simulate)
 
-    ana = sub.add_parser("analyze", help="run all criteria on a counts file")
+
+def _analyze_arguments(ana) -> None:
     ana.add_argument("--counts", required=True)
     ana.add_argument("--replicates", type=int, default=1000)
     ana.add_argument("--threshold", type=float, default=3.0,
@@ -305,14 +310,50 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--report-out", required=True)
     ana.set_defaults(func=cmd_analyze)
 
-    rep = sub.add_parser("report", help="render a comparison table from reports")
+
+def _report_arguments(rep) -> None:
     rep.add_argument("reports", nargs="+")
     rep.set_defaults(func=cmd_report)
+
+
+# command -> (help, the function that adds its arguments and its cmd_*). The
+# cmd_* are read when a parser is built, so that a patched one runs.
+COMMANDS = {
+    "simulate": ("generate a simulated counts file", _simulate_arguments),
+    "analyze": ("run all criteria on a counts file", _analyze_arguments),
+    "report": ("render a comparison table from reports", _report_arguments),
+}
+
+
+def _help_formatter():
+    """argparse's help formatter at the terminal's width, read once. argparse
+    makes a formatter, which reads the width again, for every argument added;
+    the width is taken as argparse's own formatter takes it."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every command is registered, so that usage and
+    errors read the same whatever is built; given one of them, only that
+    command's arguments are added, and the others get empty parsers that
+    nothing parses with."""
+    formatter = _help_formatter()
+    parser = argparse.ArgumentParser(
+        prog="clickstats", formatter_class=formatter,
+        description="Simulate and analyze two-mode click-counting statistics.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if command in COMMANDS and name != command:
+            sub.add_parser(name, help=help_text, formatter_class=formatter, add_help=False)
+        else:
+            add_arguments(sub.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

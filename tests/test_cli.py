@@ -1,3 +1,4 @@
+import argparse
 import copy
 import dataclasses
 import errno
@@ -391,6 +392,16 @@ _DATA_ERRORS = {
         *_sidecar_text(p, '{"label": "x"}')[:-1], p / "c.csv.meta.json"],
         "names the same file as"),
     "report-out-links-to-counts": (_report_out_links_to_counts, "names the same file as"),
+    # an empty --counts-out ended in a traceback, an empty --exact-out was
+    # skipped with exit 0, and an empty --report-out read as the directory
+    "counts-out-empty": (lambda p: ["simulate", "--state", "tmsv", "--lambda2", 0.1,
+                                    "--shots", 100, "--seed", 1, "--counts-out", ""],
+                         "an output path must not be empty"),
+    "exact-out-empty": (lambda p: _simulate(p, "--state", "tmsv", "--lambda2", 0.1,
+                                            "--shots", 100, "--exact-out", ""),
+                        "an output path must not be empty"),
+    "report-out-empty": (lambda p: [*_analyze(p, "--replicates", 10, "--seed", 1)[:-1], ""],
+                         "an output path must not be empty"),
 }
 
 
@@ -422,7 +433,7 @@ def test_sampling_is_checked_before_the_exact_distribution(tmp_path, capsys, mon
 
 # Every usage error README lists, as {id: (argv builder, argparse's message)}
 _USAGE_ERRORS = {
-    "unknown-command": (lambda p: ["frobnicate"], "invalid choice"),
+    "unknown-command": (lambda p: ["frobnicate"], "argument command: invalid choice"),
     # report prints its table to stdout only, and analyze writes one report
     "report-out": (lambda p: [*_report_file(p, lambda d: d), "--out", p / "t.txt"],
                    "unrecognized arguments: --out"),
@@ -441,6 +452,39 @@ _USAGE_ERRORS = {
 @pytest.mark.parametrize("make_argv, message", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS)
 def test_usage_error_exit_code(tmp_path, capsys, make_argv, message):
     _assert_error(make_argv(tmp_path), 1, message, capsys)
+
+
+@pytest.mark.parametrize("columns", [40, 200])
+def test_each_command_prints_what_the_full_parser_prints(tmp_path, capsys, monkeypatch,
+                                                         columns):
+    # main builds the arguments of the command it runs only, and reads the
+    # terminal's width once; usage, help and every usage error must read as
+    # the parser of all commands prints them with argparse's own formatter
+    monkeypatch.setenv("COLUMNS", str(columns))
+    helps = [["--help"], *([command, "--help"] for command in cli.COMMANDS)]
+    for argv in [[], *helps, *(make(tmp_path) for make, _ in _USAGE_ERRORS.values())]:
+        argv = [str(a) for a in argv]
+        code = main(argv)
+        printed = capsys.readouterr()
+        with monkeypatch.context() as patch, pytest.raises(SystemExit) as exc:
+            patch.setattr(cli, "_help_formatter", lambda: argparse.HelpFormatter)
+            cli.build_parser().parse_args(argv)
+        helped = argv in helps
+        assert (code, exc.value.code) == ((cli.EXIT_OK, 0) if helped else (cli.EXIT_USAGE, 2))
+        assert printed == capsys.readouterr(), argv
+        assert (printed.out if helped else printed.err).startswith("usage: clickstats")
+
+
+def test_full_parser_parses_every_command(tmp_path, monkeypatch):
+    # pipebench times the set-up as importing the CLI and building this parser
+    parser = cli.build_parser()
+    for argv, command in [(_simulate(tmp_path, "--state", "tmsv", "--shots", 10), "simulate"),
+                          (_analyze(tmp_path), "analyze"), (["report", "r.json"], "report")]:
+        assert parser.parse_args(map(str, argv)).func is getattr(cli, f"cmd_{command}")
+        # a command is looked up when the parser is built, so that a patched
+        # one runs, as pipebench's tracer patches cmd_analyze
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: 7)
+        assert run(argv) == 7
 
 
 def test_drawn_seed_is_recorded_and_reproduces(tmp_path):
