@@ -73,6 +73,8 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text") from exc
+    except ValueError as exc:   # a NUL byte, which no path can hold
+        raise ValidationError(f"{os.fspath(path)!r}: {exc}") from exc
 
 
 def _finite(text: str) -> float:
@@ -117,12 +119,10 @@ def read_counts_csv(path) -> CountMatrix:
 
 
 def _seed(args) -> int:
-    """The --seed given, or a fresh 32-bit one. ``secrets`` loads OpenSSL
-    (about 3.5 MB), so it is imported only when a seed must be drawn."""
+    """The --seed given, or a fresh 32-bit one; ``secrets`` would load OpenSSL."""
     if args.seed is not None:
         return args.seed
-    import secrets
-    return secrets.randbits(32)
+    return int.from_bytes(os.urandom(4), "big")
 
 
 def _squared_amplitude(args, flag: str) -> float:
@@ -161,12 +161,15 @@ def _outputs(paths, inputs=()):
         for path in paths:
             if not path:
                 raise ValidationError("an output path must not be empty")
-            target = os.path.realpath(path)
+            try:
+                target = os.path.realpath(path)
+            except ValueError as exc:   # a NUL byte, as in _read_text
+                raise ValidationError(f"{os.fspath(path)!r}: {exc}") from exc
             if target in named:
                 raise ValidationError(f"{path}: names the same file as {named[target]}")
             try:
                 regular = stat.S_ISREG(os.stat(target).st_mode)
-            except (OSError, ValueError):
+            except OSError:
                 regular = True  # absent or unreadable: creating the temporary says why
             if not regular:
                 raise ValidationError(f"{path}: an output must be a regular file")

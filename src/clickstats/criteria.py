@@ -84,18 +84,13 @@ class StackStatistics:
     eigenvalues: np.ndarray
 
 
-def mean(dist, clicks) -> np.ndarray:
-    """Mean click number of distributions whose outcomes, along the last axis,
-    have the click numbers ``clicks``."""
-    return np.asarray(dist, dtype=float) @ clicks
-
-
 def variance(dist, clicks) -> np.ndarray:
-    """Variance about the mean; exactly 0 on a distribution with one outcome,
-    where the sum would read the rounding of a total mass that is not exactly
-    1 (k - mean = k (1 - mass))."""
+    """Variance about the mean of distributions whose outcomes, along the last
+    axis, have the click numbers ``clicks``; exactly 0 on a distribution with
+    one outcome, where the sum would read the rounding of a total mass that is
+    not exactly 1 (k - mean = k (1 - mass))."""
     dist = np.asarray(dist, dtype=float)
-    var = ((clicks - mean(dist, clicks)[..., None]) ** 2 * dist).sum(axis=-1)
+    var = ((clicks - (dist @ clicks)[..., None]) ** 2 * dist).sum(axis=-1)
     return var * ((dist > 0.0).sum(axis=-1) > 1)
 
 
@@ -233,17 +228,12 @@ def stack_statistics(probs, clicks=None, bounds=None) -> StackStatistics:
     outcome 0 or N.
     """
     probs = np.asarray(probs, dtype=float)
-    if clicks is None:
-        clicks = np.arange(probs.shape[-2] + 0.0), np.arange(probs.shape[-1] + 0.0)
-    clicks_a, clicks_b = clicks
+    clicks_a, clicks_b = clicks or map(np.arange, probs.shape[-2:])
     n_a, n_b = int(clicks_a[-1]), int(clicks_b[-1])
-    weights = moment_weights(n_b, 2 * (n_b // 2))
-    if clicks_b.size < n_b + 1:     # W's columns of the given click numbers
-        weights = weights[:, clicks_b]
-    table = probs @ weights.T
+    table = probs @ moment_weights(n_b, 2 * (n_b // 2))[:, clicks_b].T
     ca, cb = probs.sum(axis=-1), probs.sum(axis=-2)
     supported = ca > 0.0
-    mean_a, mean_b = mean(ca, clicks_a), mean(cb, clicks_b)
+    mean_a, mean_b = ca @ clicks_a, cb @ clicks_b
     var_a, var_b = variance(ca, clicks_a), variance(cb, clicks_b)
     q_a, q_b = _q_parameter(mean_a, var_a, n_a), _q_parameter(mean_b, var_b, n_b)
 
@@ -327,14 +317,14 @@ def moment_matrix(jcd: JointClickDistribution, a: int) -> np.ndarray:
 def _as_estimate(value: float, err) -> Estimate:
     if math.isnan(value):
         return Estimate.undefined()
-    return Estimate(value=value, stderr=None if err is None else err.stderr,
-                    defined=err is None or err.defined)
+    stderr = None if err is None else err.stderr
+    return Estimate(value=value, stderr=stderr, defined=err is None or stderr is not None)
 
 
 def _as_verdict(margin: float, err, threshold: float) -> Verdict:
     """Margin > EXACT_MARGIN_TOL is a violation; with bootstrap errors it must
     instead exceed threshold standard errors."""
-    if math.isnan(margin) or (err is not None and not err.defined):
+    if math.isnan(margin) or (err is not None and err.stderr is None):
         return Verdict(violated=None)
     if err is None:
         return Verdict(violated=bool(margin > EXACT_MARGIN_TOL))

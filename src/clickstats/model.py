@@ -84,7 +84,7 @@ def _check_distribution(probs: np.ndarray, what: str) -> None:
 
 
 def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=dtype)
+    out = np.array(arr, dtype=dtype, order="C")  # a copy: the caller's array stays as it was
     out.setflags(write=False)
     return out
 

@@ -25,9 +25,9 @@ TAIL_MASS = 1e-12
 # Poisson series starts from, stays a normal double (it turns subnormal near
 # 708 and underflows to 0 near 745, where the series never reaches its tail).
 MAX_COHERENT_MEAN = 700.0
-# Largest TMSV photon cut: the photon matrix is dense, (cut+1)^2 doubles, which
-# is 134 MB at the bound. lambda^2 = 0.99 cuts at 2750; above about 0.99328 the
-# cut exceeds the bound and the state is rejected before anything is allocated.
+# Largest TMSV photon cut: the dense photon matrix, (cut+1)^2 doubles, is 134 MB
+# at the bound, twice that while JointPhotonDistribution copies it. lambda^2 =
+# 0.99 cuts at 2750; above about 0.99328 it is rejected before allocation.
 MAX_TMSV_CUT = 4096
 
 

@@ -87,10 +87,6 @@ class BootstrapStat:
     stderr: float | None
     drop_fraction: float
 
-    @property
-    def defined(self) -> bool:
-        return self.stderr is not None
-
 
 def _hashmix(value, const: int, mult: int):
     """One SeedSequence hash of a 32-bit word (a Python int or a uint64 array
@@ -176,17 +172,15 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
     bounds = lru_cache(maxsize=None)(partial(criteria.point_bounds, point))
 
     children = _child_generators(cfg.seed, cfg.replicates)
-    samples: dict[str, list] = {name: [] for name in cfg.statistics}
+    scored = []
     for _ in range(0, cfg.replicates, chunk):
         draws = np.array([rng.multinomial(total, pflat) for rng in islice(children, chunk)])
-        scored = criteria.stack_statistics(draws.reshape(-1, *support.shape) / total,
-                                           clicks, bounds).values
-        for name in cfg.statistics:
-            samples[name].append(scored[name])
+        scored.append(criteria.stack_statistics(draws.reshape(-1, *support.shape) / total,
+                                                clicks, bounds).values)
 
     out: dict[str, BootstrapStat] = {}
     for name in cfg.statistics:
-        values = np.concatenate(samples[name])
+        values = np.concatenate([part[name] for part in scored])
         values = values[~np.isnan(values)]
         drop = 1.0 - values.size / cfg.replicates
         kept = drop <= MAX_DROP_FRACTION and values.size >= 2

@@ -156,17 +156,20 @@ def tmsv_click_distribution(lam2: float, bins: int, eta: float, nu: float,
     return (kernel.T * weights) @ kernel
 
 
-def criterion_margins(probs: np.ndarray):
-    """The three criteria of a joint click distribution, written out directly.
+def criterion_statistics(probs: np.ndarray) -> dict:
+    """The statistics of a joint click distribution, written out directly.
 
-    Returns (gamma - gamma_cl_max, kappa - kappa_cl_max, eigenvalues), where
-    eigenvalues[a] is the smallest eigenvalue of the conditional moment matrix
-    <:pi_B^(m+m'):>_|a (m, m' = 0..N_B//2), solved with LAPACK. The margins
-    use the closed forms
+    Returns summed_click_mean, q_a, q_b, kappa_margin (kappa - kappa_cl_max),
+    gamma, gamma_cl_max, gamma_margin (|gamma| - gamma_cl_max), frak_n and
+    eigenvalues. eigenvalues holds, for each condition a that carries
+    probability and in order of a, the smallest eigenvalue of the conditional
+    moment matrix <:pi_B^(m+m'):>_|a (m, m' = 0..N_B//2), solved with LAPACK;
+    a condition that carries none is skipped. frak_n is their minimum. The
+    rest use the closed forms
+        Q = N V / (E (N - E)) - 1 of each marginal's mean E and variance V,
         kappa - kappa_cl_max = sum_a c(a) [e_a (N_B - e_a) / N_B - v_a] / V_B,
         gamma_cl_max = sqrt(|N_A N_B Q_A Q_B| / ((N_A-1)(N_B-1)(Q_A+1)(Q_B+1))),
-    with e_a, v_a the conditional mean and variance of b given a. Every
-    condition a must carry probability.
+    with e_a, v_a the conditional mean and variance of b given a.
     """
     bins_a, bins_b = probs.shape[0] - 1, probs.shape[1] - 1
     a = np.arange(bins_a + 1)
@@ -180,10 +183,11 @@ def criterion_margins(probs: np.ndarray):
     gamma_cl_max = np.sqrt(abs(bins_a * bins_b * q_a * q_b) / (
         (bins_a - 1) * (bins_b - 1) * (q_a + 1.0) * (q_b + 1.0)))
 
-    cond = probs / ca[:, None]
+    rows = ca > 0.0
+    cond = probs[rows] / ca[rows, None]
     e = cond @ b
     v = cond @ b ** 2 - e ** 2
-    kappa_margin = ca @ (e * (bins_b - e) / bins_b - v) / var_b
+    kappa_margin = ca[rows] @ (e * (bins_b - e) / bins_b - v) / var_b
 
     half = bins_b // 2
     weights = np.array([[math.comb(k, m) / math.comb(bins_b, m) for k in b]
@@ -191,7 +195,17 @@ def criterion_margins(probs: np.ndarray):
     hankel = np.add.outer(np.arange(half + 1), np.arange(half + 1))
     moments = cond @ weights.T
     eigenvalues = np.linalg.eigvalsh(moments[:, hankel])[:, 0]
-    return gamma - gamma_cl_max, kappa_margin, eigenvalues
+    return {"summed_click_mean": mean_a + mean_b, "q_a": q_a, "q_b": q_b,
+            "kappa_margin": kappa_margin, "gamma": gamma, "gamma_cl_max": gamma_cl_max,
+            "gamma_margin": abs(gamma) - gamma_cl_max, "frak_n": eigenvalues.min(),
+            "eigenvalues": eigenvalues}
+
+
+def criterion_margins(probs: np.ndarray):
+    """The three criteria of ``criterion_statistics``, the gamma margin signed:
+    (gamma - gamma_cl_max, kappa_margin, eigenvalues)."""
+    stats = criterion_statistics(probs)
+    return stats["gamma"] - stats["gamma_cl_max"], stats["kappa_margin"], stats["eigenvalues"]
 
 
 def min_eigenvalue(matrix: np.ndarray) -> tuple[float, np.ndarray]:

@@ -402,6 +402,16 @@ _DATA_ERRORS = {
                         "an output path must not be empty"),
     "report-out-empty": (lambda p: [*_analyze(p, "--replicates", 10, "--seed", 1)[:-1], ""],
                          "an output path must not be empty"),
+    # a NUL byte, which only an in-process caller can pass, ended in a
+    # ValueError traceback, or for a report read "not JSON"
+    "counts-out-holds-nul": (lambda p: ["simulate", "--state", "tmsv", "--lambda2", 0.1,
+                                        "--shots", 100, "--seed", 1, "--counts-out", p / "c\0"],
+                             lambda p: repr(str(p / "c\0")) + ": embedded null byte"),
+    "counts-path-holds-nul": (lambda p: ["analyze", "--counts", p / "c\0", "--replicates", 10,
+                                         "--seed", 1, "--report-out", p / "r.json"],
+                              lambda p: repr(str(p / "c\0")) + ": embedded null byte"),
+    "report-path-holds-nul": (lambda p: ["report", p / "r\0"],
+                              lambda p: repr(str(p / "r\0")) + ": embedded null byte"),
 }
 
 
@@ -508,6 +518,19 @@ def test_drawn_seed_is_recorded_and_reproduces(tmp_path):
     assert 0 <= seed < 2**32
     assert run([*analyze, "--seed", seed, "--report-out", again / "r.json"]) == 0
     assert (drawn / "r.json").read_bytes() == (again / "r.json").read_bytes()
+
+
+def test_seed_draw_loads_neither_numpy_random_nor_openssl():
+    # pipebench times its set-up as importing the CLI and building the full
+    # parser; drawing a seed then must not load numpy.random (about 9 ms) or
+    # OpenSSL's _hashlib, which secrets imports
+    code = ("import argparse, sys, clickstats.cli as cli; cli.build_parser(); "
+            "seed = cli._seed(argparse.Namespace(seed=None)); assert 0 <= seed < 2**32; "
+            "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                          check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_analyze_report(tmp_path):

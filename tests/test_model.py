@@ -142,6 +142,27 @@ def test_types_are_immutable():
         jcd.probs[0, 0] = 0.5
 
 
+@pytest.mark.parametrize("build, data, field", [
+    (cs.JointPhotonDistribution, lambda: np.full((3, 3), 1.0 / 9.0), "probs"),
+    (cs.JointClickDistribution, lambda: np.full((3, 3), 1.0 / 9.0), "probs"),
+    (cs.CountMatrix, lambda: np.ones((3, 3), dtype=np.int64), "counts"),
+], ids=["photon", "click", "counts"])
+def test_types_copy_the_callers_array(build, data, field):
+    # each type holds a read-only copy: the caller's array, given as it is or
+    # as a view, stays writable, and a write through either leaves the
+    # validated object as it was (sharing it, a distribution read 1.79 summed)
+    for as_given in (lambda a: a, lambda a: a[:]):
+        array = data()
+        view = as_given(array)
+        obj = build(view)
+        kept = getattr(obj, field).copy()
+        array[0, 0] = view[1, 1] = 9
+        assert array.flags.writeable and view.flags.writeable
+        assert not np.shares_memory(getattr(obj, field), array)
+        assert np.array_equal(getattr(obj, field), kept)
+        assert not getattr(obj, field).flags.writeable
+
+
 def test_sampling_l1_convergence_rate():
     # L1 distance between empirical and generating distribution should shrink
     # like M^(-1/2); check the log-log slope over three decades
