@@ -48,16 +48,15 @@ VERDICT_SYMBOLS = {True: "✓", False: "✗", None: "?"}
 MAX_SIDECAR_DEPTH = 100
 
 
-def _write_csv(path, matrix: np.ndarray) -> None:
-    """The counts CSV layout, for int counts or float probabilities."""
-    with open(path, "w") as fh:
-        fh.write(f"# bins_a={matrix.shape[0] - 1} bins_b={matrix.shape[1] - 1}\n")
-        for row in matrix.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+def _write_csv(fh, matrix: np.ndarray) -> None:
+    """The counts CSV layout, for int counts or float probabilities, in one write."""
+    rows = [f"# bins_a={matrix.shape[0] - 1} bins_b={matrix.shape[1] - 1}",
+            *(",".join(map(repr, row)) for row in matrix.tolist())]
+    fh.write("\n".join(rows) + "\n")
 
 
-def write_counts_csv(path, counts: CountMatrix) -> None:
-    _write_csv(path, counts.counts)
+def write_counts_csv(fh, counts: CountMatrix) -> None:
+    _write_csv(fh, counts.counts)
 
 
 def _parse_header(line: str, path) -> tuple[int, int]:
@@ -146,15 +145,15 @@ def _state_spec(args) -> StateSpec:
 
 @contextlib.contextmanager
 def _outputs(paths, inputs=()):
-    """A temporary beside each of ``paths`` for the command to write, moved
-    onto its path once all are written. Entered after the input checks, so
-    that an output that cannot be written, or that names an input or another
-    output, fails before the work, with an OS error that names the path
-    given. A symbolic link is followed, so that the move replaces the file it
-    names; a temporary is named by a random token alone, so that it fits
-    wherever its path does and no leftover of a killed run blocks it. On any
-    error only the temporaries are removed: every output path is left as it
-    was."""
+    """An open text file beside each of ``paths`` for the command to write,
+    closed and moved onto its path once all are written. Entered after the
+    input checks, so that an output that cannot be written, or that names an
+    input or another output, fails before the work, with an OS error that
+    names the path given. A symbolic link is followed, so that the move
+    replaces the file it names; a temporary is named by a random token alone,
+    so that it fits wherever its path does and no leftover of a killed run
+    blocks it. On any error every temporary is closed, even if that fails,
+    and removed: every output path is left as it was."""
     named = {os.path.realpath(path): path for path in inputs}
     moves = []
     try:
@@ -176,16 +175,19 @@ def _outputs(paths, inputs=()):
             named[target] = path
             temporary = f"{os.path.dirname(target)}/.clickstats.{os.urandom(8).hex()}.tmp"
             try:
-                open(temporary, "x").close()
+                moves.append((open(temporary, "x"), target))
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
-            moves.append((temporary, target))
-        yield [temporary for temporary, _ in moves]
-        for temporary, target in moves:
-            os.replace(temporary, target)
+        yield [fh for fh, _ in moves]
+        for fh, _ in moves:
+            fh.close()
+        for fh, target in moves:
+            os.replace(fh.name, target)
     except BaseException:
-        for temporary, _ in moves:
-            Path(temporary).unlink(missing_ok=True)
+        for fh, _ in moves:
+            with contextlib.suppress(OSError):
+                fh.close()
+            Path(fh.name).unlink(missing_ok=True)
         raise
 
 
@@ -206,13 +208,13 @@ def cmd_simulate(args) -> int:
         jcd = joint_click_distribution(jpd, cfg_a, cfg_b)
         counts = sample_counts(jcd, args.shots, seed)
         write_counts_csv(counts_out, counts)
-        for path in exact_out:
-            _write_csv(path, jcd.probs)
+        for fh in exact_out:
+            _write_csv(fh, jcd.probs)
         meta = {"state": args.state, "label": jpd.label, "seed": seed, "shots": args.shots}
         for arm, cfg in (("a", cfg_a), ("b", cfg_b)):
             meta[f"detector_{arm}"] = {"bins": cfg.bins, "eta": cfg.efficiency,
                                        "nu": cfg.dark_click}
-        Path(sidecar).write_text(json.dumps(meta, indent=2, allow_nan=False))
+        sidecar.write(json.dumps(meta, indent=2, allow_nan=False))
     print(f"wrote {args.counts_out} ({args.shots} shots, seed {seed})")
     return EXIT_OK
 
@@ -238,10 +240,9 @@ def cmd_analyze(args) -> int:
             seed=config.seed, parameters=parameters,
             label=args.label or parameters.get("label") or Path(args.counts).stem,
             condition_counts=tuple(int(v) for v in counts.counts.sum(axis=1)))
-        with open(report_out, "w") as fh:
-            # json.dump, not one write of json.dumps: pipebench times it as
-            # cli.write_report_s
-            json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
+        # json.dump, not one write of json.dumps: pipebench times it as
+        # cli.write_report_s
+        json.dump(report.to_dict(), report_out, indent=2, allow_nan=False)
     print(f"wrote {args.report_out}")
     return EXIT_OK
 
@@ -336,29 +337,31 @@ def _help_formatter():
                              width=shutil.get_terminal_size().columns - 2)
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI's parser. Every command is registered, so that usage and
-    errors read the same whatever is built; given one of them, only that
-    command's arguments are added, and the others get empty parsers that
-    nothing parses with."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all three commands. main builds it only when no command
+    is named or the named command's parser leaves words over; otherwise it
+    parses with that command's parser alone, built as add_parser builds it."""
     formatter = _help_formatter()
     parser = argparse.ArgumentParser(
         prog="clickstats", formatter_class=formatter,
         description="Simulate and analyze two-mode click-counting statistics.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in COMMANDS.items():
-        if command in COMMANDS and name != command:
-            sub.add_parser(name, help=help_text, formatter_class=formatter, add_help=False)
-        else:
-            add_arguments(sub.add_parser(name, help=help_text, formatter_class=formatter))
+        add_arguments(sub.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        leftover = True
+        if argv and argv[0] in COMMANDS:
+            parser = argparse.ArgumentParser(prog=f"clickstats {argv[0]}",
+                                             formatter_class=_help_formatter())
+            COMMANDS[argv[0]][1](parser)
+            args, leftover = parser.parse_known_args(argv[1:])
+        if leftover:   # no command named, or words it does not take
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

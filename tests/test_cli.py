@@ -86,7 +86,8 @@ def test_counts_csv_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     counts = cs.CountMatrix(rng.integers(0, 50, size=(9, 9)))
     path = tmp_path / "c.csv"
-    write_counts_csv(path, counts)
+    with open(path, "w") as fh:
+        write_counts_csv(fh, counts)
     assert np.array_equal(read_counts_csv(path).counts, counts.counts)
 
 
@@ -106,7 +107,8 @@ def test_exact_out_round_trip(tmp_path):
 
 def _counts_file(tmp_path):
     path = tmp_path / "c.csv"
-    write_counts_csv(path, cs.CountMatrix(np.array([[5, 1, 0], [1, 2, 0], [0, 0, 1]])))
+    with open(path, "w") as fh:
+        write_counts_csv(fh, cs.CountMatrix(np.array([[5, 1, 0], [1, 2, 0], [0, 0, 1]])))
     return path
 
 
@@ -449,6 +451,9 @@ _USAGE_ERRORS = {
                    "unrecognized arguments: --out"),
     "analyze-plot-data": (lambda p: _analyze(p, "--replicates", 10, "--plot-data", p / "p.csv"),
                           "unrecognized arguments: --plot-data"),
+    "simulate-unknown-option": (lambda p: _simulate(p, "--state", "coherent", "--shots", 10,
+                                                    "--bogus"),
+                                "unrecognized arguments: --bogus"),
     "missing-shots": (lambda p: ["simulate", "--state", "coherent", "--seed", 1,
                                  "--counts-out", p / "c.csv"], "required: --shots"),
     "report-without-file": (lambda p: ["report"], "required: reports"),
@@ -495,6 +500,17 @@ def test_full_parser_parses_every_command(tmp_path, monkeypatch):
         # one runs, as pipebench's tracer patches cmd_analyze
         monkeypatch.setattr(cli, f"cmd_{command}", lambda args: 7)
         assert run(argv) == 7
+
+
+def test_valid_runs_build_their_own_commands_parser_only(tmp_path, monkeypatch):
+    # the parser of all three commands is built for a command line that its
+    # first word does not settle; building it took a third of a simulate run
+    def full_parser(*args):
+        raise AssertionError("the parser of all three commands was built")
+
+    monkeypatch.setattr(cli, "build_parser", full_parser)
+    for argv in [*_both_commands(tmp_path, 1), ["report", tmp_path / "r.json"]]:
+        assert run(argv) == 0
 
 
 def test_drawn_seed_is_recorded_and_reproduces(tmp_path):
@@ -618,13 +634,35 @@ def _no_space():
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-def _write_header(path, counts):
-    Path(path).write_text(f"# bins_a={counts.bins_a} bins_b={counts.bins_b}\n")
+def _write_header(fh, counts):
+    fh.write(f"# bins_a={counts.bins_a} bins_b={counts.bins_b}\n")
+    fh.flush()
 
 
-def _write_header_then_fail(path, counts):
-    _write_header(path, counts)
+def _write_header_then_fail(fh, counts):
+    _write_header(fh, counts)
     _no_space()
+
+
+def _write_exact_header_then_fail(fh, matrix, write_csv=cli._write_csv):
+    # the counts go through the same writer as the exact distribution
+    if matrix.dtype.kind != "f":
+        return write_csv(fh, matrix)
+    fh.write(f"# bins_a={matrix.shape[0] - 1} bins_b={matrix.shape[1] - 1}\n")
+    fh.flush()
+    _no_space()
+
+
+def _write_counts_whose_close_fails(fh, counts, write_counts_csv=cli.write_counts_csv):
+    # as a close whose flush finds the disk full: the file is closed, then
+    # the error is raised
+    write_counts_csv(fh, counts)
+    close = fh.close
+
+    def close_then_fail():
+        close()
+        _no_space()
+    fh.close = close_then_fail
 
 
 def _dump_first_line_then_fail(obj, fh, **kwargs):
@@ -635,16 +673,21 @@ def _dump_first_line_then_fail(obj, fh, **kwargs):
 @pytest.mark.parametrize("command, exact_out, patch, message", [
     (0, "missing/x.csv", None, "No such file or directory: '{path}'"),
     (0, "x.csv", (cli, "write_counts_csv", _write_header_then_fail), "No space left on device"),
+    (0, "x.csv", (cli, "_write_csv", _write_exact_header_then_fail), "No space left on device"),
+    (0, "x.csv", (cli, "write_counts_csv", _write_counts_whose_close_fails),
+     "No space left on device"),
     (1, "x.csv", (cli.json, "dump", _dump_first_line_then_fail), "No space left on device"),
 ], ids=["simulate-exact-out-in-missing-directory", "simulate-counts-write-fails",
+        "simulate-exact-out-write-fails", "simulate-counts-close-fails",
         "analyze-report-write-fails"])
 def test_failed_rerun_leaves_every_file_as_it_was(tmp_path, capsys, monkeypatch, command,
                                                   exact_out, patch, message):
     # every output is written beside its path and moved onto it once all are
-    # written: a re-run that fails before its work or midway through a write
-    # leaves the first run's files byte-identical, and no other file; a
-    # failed re-run of simulate deleted the first run's counts and kept their
-    # sidecar. The error names the path given, not its temporary.
+    # written: a re-run that fails before its work, midway through a write
+    # or in closing a file leaves the first run's files byte-identical, and
+    # no other file; a failed re-run of simulate deleted the first run's
+    # counts and kept their sidecar. The error names the path given, not its
+    # temporary.
     for argv in _both_commands(tmp_path, 1):
         assert run(argv) == 0
     files = _tree(tmp_path)
@@ -680,8 +723,8 @@ def test_interrupted_simulate_leaves_every_file_as_it_was(tmp_path, monkeypatch)
     assert run(simulate) == 0
     files = _tree(tmp_path)
 
-    def interrupted(path, counts):
-        _write_header(path, counts)
+    def interrupted(fh, counts):
+        _write_header(fh, counts)
         raise KeyboardInterrupt
     monkeypatch.setattr(cli, "write_counts_csv", interrupted)
     with pytest.raises(KeyboardInterrupt):
@@ -789,7 +832,8 @@ def test_degenerate_counts_give_strict_json(tmp_path):
     counts = np.zeros((9, 9), dtype=np.int64)
     counts[0, 0] = 1000
     counts_path = tmp_path / "vacuum.csv"
-    write_counts_csv(counts_path, cs.CountMatrix(counts))
+    with open(counts_path, "w") as fh:
+        write_counts_csv(fh, cs.CountMatrix(counts))
     report_path = tmp_path / "vacuum.json"
     assert run(["analyze", "--counts", counts_path, "--replicates", 50, "--seed", 1,
                 "--report-out", report_path]) == 0
