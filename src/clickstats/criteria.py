@@ -84,14 +84,20 @@ class StackStatistics:
     eigenvalues: np.ndarray
 
 
-def variance(dist, clicks) -> np.ndarray:
-    """Variance about the mean of distributions whose outcomes, along the last
-    axis, have the click numbers ``clicks``; exactly 0 on a distribution with
-    one outcome, where the sum would read the rounding of a total mass that is
-    not exactly 1 (k - mean = k (1 - mass))."""
-    dist = np.asarray(dist, dtype=float)
-    var = ((clicks - (dist @ clicks)[..., None]) ** 2 * dist).sum(axis=-1)
-    return var * ((dist > 0.0).sum(axis=-1) > 1)
+def marginal_statistics(dist, clicks) -> tuple:
+    """Mean, variance and binomial Q = N Var / (E (N - E)) - 1 of
+    distributions whose outcomes, along the last axis, have the click numbers
+    ``clicks``, N = ``clicks[-1]``. The variance is summed about the mean, and
+    is exactly 0 on one outcome, where the sum reads the rounding of a mass
+    not exactly 1 (k - mean = k (1 - mass)). Q is NaN where the mean is 0 or
+    N; by that rounding a one-outcome mean at N may read just below it."""
+    bins = int(clicks[-1])
+    mean = dist @ clicks
+    var = ((clicks - mean[..., None]) ** 2 * dist).sum(axis=-1)
+    var = var * ((dist > 0.0).sum(axis=-1) > 1)
+    inside = (mean > 0.0) & (mean < bins - 0.5 * (var == 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return mean, var, np.where(inside, bins * var / (mean * (bins - mean)) - 1.0, np.nan)
 
 
 @lru_cache(maxsize=None)
@@ -113,16 +119,6 @@ def _hankel(order: int) -> np.ndarray:
     index = orders[:, None] + orders[None, :]
     index.setflags(write=False)
     return index
-
-
-def _q_parameter(e: np.ndarray, var: np.ndarray, bins: int) -> np.ndarray:
-    """Binomial Q of marginals with means ``e`` and variances ``var``; NaN
-    where the mean is 0 or N. A marginal on one outcome (variance 0) has a
-    mean off that outcome by the rounding of its mass, so on outcome N it
-    may read just below N."""
-    inside = (e > 0.0) & (e < bins - 0.5 * (var == 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(inside, bins * var / (e * (bins - e)) - 1.0, np.nan)
 
 
 def point_bounds(moments: np.ndarray, order: int) -> tuple:
@@ -223,9 +219,9 @@ def stack_statistics(probs, clicks=None, bounds=None) -> StackStatistics:
     E(b^2) - E(b)^2 loses about 1e-7 of kappa and Q_B on a saturated
     detector. For the same reason c(a) is summed like the other marginal,
     not read from the table's m = 0 column: near saturation Q_A turns on its
-    last bit, and a matrix product sums in another order. A marginal on one
-    outcome has variance exactly 0 (see ``variance``) and Q -1, or NaN on
-    outcome 0 or N.
+    last bit, and a matrix product sums in another order. Each arm's mean,
+    variance and Q come from ``marginal_statistics``: a one-outcome marginal
+    has variance exactly 0 and Q -1, or NaN on outcome 0 or N.
     """
     probs = np.asarray(probs, dtype=float)
     clicks_a, clicks_b = clicks or map(np.arange, probs.shape[-2:])
@@ -233,9 +229,8 @@ def stack_statistics(probs, clicks=None, bounds=None) -> StackStatistics:
     table = probs @ moment_weights(n_b, 2 * (n_b // 2))[:, clicks_b].T
     ca, cb = probs.sum(axis=-1), probs.sum(axis=-2)
     supported = ca > 0.0
-    mean_a, mean_b = ca @ clicks_a, cb @ clicks_b
-    var_a, var_b = variance(ca, clicks_a), variance(cb, clicks_b)
-    q_a, q_b = _q_parameter(mean_a, var_a, n_a), _q_parameter(mean_b, var_b, n_b)
+    mean_a, var_a, q_a = marginal_statistics(ca, clicks_a)
+    mean_b, var_b, q_b = marginal_statistics(cb, clicks_b)
 
     # c(a) E(b|a); the conditional mean is 0 on unsupported rows, which carry
     # no weight in the sums below

@@ -168,7 +168,7 @@ def bootstrap(counts: CountMatrix, cfg: BootstrapConfig) -> dict[str, BootstrapS
     pflat = support.ravel() / total
     n_b = keep_b.size - 1
     chunk = max(1, CHUNK_BYTES // (8 * clicks[0].size * (n_b // 2 + 1) ** 2))
-    point = criteria.stack_statistics(support / total, clicks).moments
+    point = criteria.stack_statistics(pflat.reshape(support.shape), clicks).moments
     bounds = lru_cache(maxsize=None)(partial(criteria.point_bounds, point))
 
     children = _child_generators(cfg.seed, cfg.replicates)

@@ -8,7 +8,7 @@ import pytest
 
 import clickstats as cs
 from clickstats.cli import main
-from clickstats.criteria import moment_matrix, moment_weights, variance
+from clickstats.criteria import marginal_statistics, moment_matrix, moment_weights
 from clickstats.simulator import click_kernel_matrix
 from clickstats.uncertainty import BootstrapConfig, bootstrap
 
@@ -49,7 +49,7 @@ def test_criterion_2_moment_identities():
         ca, cb = marginals(jcd)
         for dist, n in ((ca, 8), (cb, 8)):
             clicks = np.arange(n + 1)
-            e, v = dist @ clicks, variance(dist, clicks)
+            e, v = dist @ clicks, marginal_statistics(dist, clicks)[1]
             moments = moment_weights(n, 2) @ dist   # <:pi^m:>, m = 0..2
             lhs = moments[2] - moments[1] ** 2
             rhs = (n * v - e * (n - e)) / (n**2 * (n - 1))

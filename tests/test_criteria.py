@@ -269,6 +269,15 @@ def test_exact_coherent_faults_not_violated(bins, setting):
     test_exact_coherent_verdicts_not_violated(bins, setting)
 
 
+@pytest.mark.xfail(strict=True, reason="frak_n -7.9e-3, decided by row a = 84, whose "
+                   "c(84) ~ 1.1e-321 is subnormal; stack_statistics supports every "
+                   "c(a) > 0 (ROADMAP item 12)")
+def test_exact_coherent_unequal_arms_frak_n_not_violated():
+    jcd = exact_jcd(cs.StateSpec.coherent(0.174, 38.65), cs.DetectorConfig(84, 0.177, 1e-4),
+                    cs.DetectorConfig(21, 0.177, 1e-4))
+    assert cs.evaluate_all(jcd).frak_n_test.violated is False
+
+
 def test_exact_verdict_tolerance():
     tol = criteria.EXACT_MARGIN_TOL
     assert 0.0 < tol <= 1e-9

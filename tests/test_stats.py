@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import clickstats as cs
-from clickstats.criteria import moment_matrix, moment_weights, stack_statistics, variance
+from clickstats.criteria import (marginal_statistics, moment_matrix, moment_weights,
+                                 stack_statistics)
 from clickstats.model import UndefinedStatisticError, ValidationError
 
 from exact import coherent_product_jcd, ideal_split_photon_jcd
@@ -68,13 +69,16 @@ def test_mean_variance_point_mass():
     dist = np.zeros(9)
     dist[1] = 1.0
     assert dist @ CLICKS == 1.0
-    assert variance(dist, CLICKS) == 0.0
+    assert marginal_statistics(dist, CLICKS) == (1.0, 0.0, -1.0)
 
 
 def test_mean_variance_uniform():
     dist = np.full(9, 1.0 / 9.0)
     assert dist @ CLICKS == pytest.approx(4.0)
-    assert variance(dist, CLICKS) == pytest.approx(20.0 / 3.0)
+    mean, var, q = marginal_statistics(dist, CLICKS)
+    assert mean == pytest.approx(4.0)
+    assert var == pytest.approx(20.0 / 3.0)
+    assert q == pytest.approx(7.0 / 3.0)
 
 
 def test_covariance_split_photon():
@@ -120,7 +124,7 @@ def test_variance_identity_random():
         dist = rng.dirichlet(np.ones(9))
         n = 8
         e = dist @ CLICKS
-        v = variance(dist, CLICKS)
+        v = marginal_statistics(dist, CLICKS)[1]
         lhs = normal_moment(dist, 2, n) - normal_moment(dist, 1, n) ** 2
         rhs = (n * v - e * (n - e)) / (n**2 * (n - 1))
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -147,12 +151,12 @@ def test_law_of_total_variance():
         means = []
         for a in range(9):
             cond = conditionals(jcd)[a]
-            total += ca[a] * variance(cond, CLICKS)
+            total += ca[a] * marginal_statistics(cond, CLICKS)[1]
             means.append(cond @ CLICKS)
         means = np.array(means)
         e_b = cb @ CLICKS
         total += float(ca @ (means - e_b) ** 2)
-        assert total == pytest.approx(variance(cb, CLICKS), abs=1e-12)
+        assert total == pytest.approx(marginal_statistics(cb, CLICKS)[1], abs=1e-12)
 
 
 def test_conditional_moments_split_photon():
