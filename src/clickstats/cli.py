@@ -124,23 +124,19 @@ def _seed(args) -> int:
     return int.from_bytes(os.urandom(4), "big")
 
 
-def _squared_amplitude(args, flag: str) -> float:
-    """The amplitude whose square ``--<flag>`` gives, checked before the root
-    is taken."""
+def _state_spec(args) -> StateSpec:
+    """The state ``--state`` names; the square of a TMSV or split-photon
+    amplitude, ``--lambda2`` or ``--t2``, is checked before the root is taken."""
+    if args.state == "coherent":
+        return StateSpec.coherent(args.mean_a, args.mean_b)
+    flag, make = {"tmsv": ("lambda2", StateSpec.tmsv),
+                  "split-photon": ("t2", StateSpec.split_photon)}[args.state]
     value = getattr(args, flag)
     if value is None:
         raise ValidationError(f"{args.state} requires --{flag}")
     if not 0.0 < value < 1.0:
         raise ValidationError(f"--{flag} must be in (0, 1), got {value}")
-    return float(np.sqrt(value))
-
-
-def _state_spec(args) -> StateSpec:
-    if args.state == "coherent":
-        return StateSpec.coherent(args.mean_a, args.mean_b)
-    if args.state == "tmsv":
-        return StateSpec.tmsv(_squared_amplitude(args, "lambda2"))
-    return StateSpec.split_photon(_squared_amplitude(args, "t2"))
+    return make(float(np.sqrt(value)))
 
 
 @contextlib.contextmanager
@@ -151,7 +147,7 @@ def _outputs(paths, inputs=()):
     input or another output, fails before the work, with an OS error that
     names the path given. A symbolic link is followed, so that the move
     replaces the file it names; a temporary is named by a random token alone,
-    so that it fits wherever its path does and no leftover of a killed run
+    so that it fits wherever its path does and no remnant of a killed run
     blocks it. On any error every temporary is closed, even if that fails,
     and removed: every output path is left as it was."""
     named = {os.path.realpath(path): path for path in inputs}
@@ -339,8 +335,8 @@ def _help_formatter():
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser of all three commands. main builds it only when no command
-    is named or the named command's parser leaves words over; otherwise it
-    parses with that command's parser alone, built as add_parser builds it."""
+    is named; otherwise it parses with that command's parser alone, built as
+    add_parser builds it."""
     formatter = _help_formatter()
     parser = argparse.ArgumentParser(
         prog="clickstats", formatter_class=formatter,
@@ -354,13 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        leftover = True
-        if argv and argv[0] in COMMANDS:
+        if argv and argv[0] in COMMANDS:   # a word it does not take is its own error
             parser = argparse.ArgumentParser(prog=f"clickstats {argv[0]}",
                                              formatter_class=_help_formatter())
             COMMANDS[argv[0]][1](parser)
-            args, leftover = parser.parse_known_args(argv[1:])
-        if leftover:   # no command named, or words it does not take
+            args = parser.parse_args(argv[1:])
+        else:   # no words, --help or an unknown command
             args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

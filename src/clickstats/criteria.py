@@ -73,10 +73,10 @@ class StackStatistics:
     conditional moment <:pi_B^m:>_|a for m = 0..2*(N_B//2), and
     ``eigenvalues[..., a]`` the smallest eigenvalue of condition a's full
     (N_B//2 + 1)-square moment matrix, solved on the orders the stack reaches
-    (see ``stack_statistics``); both are NaN on unsupported conditions
-    (c(a) = 0). An eigenvalue that point bounds proved above its member's
-    frak_n is not solved and reads +inf, so frak_n is still the fmin of the
-    member's eigenvalues.
+    (see ``stack_statistics``); both are NaN on unsupported conditions, where
+    c(a) is 0 or subnormal. An eigenvalue that point bounds proved above its
+    member's frak_n is not solved and reads +inf, so frak_n is still the fmin
+    of the member's eigenvalues.
     """
 
     values: dict
@@ -210,7 +210,7 @@ def stack_statistics(probs, clicks=None, bounds=None) -> StackStatistics:
 
     Conditional moments come from one table, ``c(a, b) @ W.T`` with
     W[m, b] = C(b, m) / C(N_B, m), which holds c(a) <:pi_B^m:>_|a; divided by
-    c(a) it gives the moments, NaN (0/0) on unsupported conditions.
+    c(a) it gives the moments, NaN on unsupported conditions: c(a) 0 or subnormal.
     ``c(a, b) @ b`` gives c(a) E(b|a): the conditional means, the kappa bound
     and, through ``@ a``, E(ab).
 
@@ -228,19 +228,19 @@ def stack_statistics(probs, clicks=None, bounds=None) -> StackStatistics:
     n_a, n_b = int(clicks_a[-1]), int(clicks_b[-1])
     table = probs @ moment_weights(n_b, 2 * (n_b // 2))[:, clicks_b].T
     ca, cb = probs.sum(axis=-1), probs.sum(axis=-2)
-    supported = ca > 0.0
+    supported = ca >= np.finfo(float).tiny
     mean_a, var_a, q_a = marginal_statistics(ca, clicks_a)
     mean_b, var_b, q_b = marginal_statistics(cb, clicks_b)
 
-    # c(a) E(b|a); the conditional mean is 0 on unsupported rows, which carry
-    # no weight in the sums below
+    # c(a) E(b|a); the conditional mean is about 0 on unsupported rows, which
+    # carry no weight, or a subnormal one, in the sums below
     weighted_mean = probs @ clicks_b
     cond_mean = weighted_mean / np.where(supported, ca, 1.0)
     # sum_a c(a) Var(b|a)
     cond_var = ((clicks_b - cond_mean[..., None]) ** 2 * probs).sum(axis=(-2, -1))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        moments = table / ca[..., None]
+        moments = table / np.where(supported, ca, np.nan)[..., None]
         varies_b = var_b > 0.0
         kappa = np.where(varies_b, 1.0 - cond_var / var_b, np.nan)
         kappa_cl_max = np.where(
@@ -305,7 +305,7 @@ def moment_matrix(jcd: JointClickDistribution, a: int) -> np.ndarray:
         raise ValidationError(f"condition a={a} out of range 0..{jcd.bins_a}")
     moments = stack_statistics(jcd.probs).moments[a]
     if np.isnan(moments[0]):
-        raise UndefinedStatisticError(f"unsupported condition: c(a={a}) = 0")
+        raise UndefinedStatisticError(f"unsupported condition: c(a={a}) is 0 or subnormal")
     return moments[_hankel(jcd.bins_b // 2)]
 
 

@@ -474,20 +474,30 @@ def test_each_command_prints_what_the_full_parser_prints(tmp_path, capsys, monke
                                                          columns):
     # main builds the arguments of the command it runs only, and reads the
     # terminal's width once; usage, help and every usage error must read as
-    # the parser of all commands prints them with argparse's own formatter
+    # the parser of all commands prints them with argparse's own formatter,
+    # except a word the named command does not take: its own parser, the
+    # full parser's subparser, reports it under the command's usage line
     monkeypatch.setenv("COLUMNS", str(columns))
     helps = [["--help"], *([command, "--help"] for command in cli.COMMANDS)]
-    for argv in [[], *helps, *(make(tmp_path) for make, _ in _USAGE_ERRORS.values())]:
+    for argv, message in [([], None), *((h, None) for h in helps),
+                          *((make(tmp_path), m) for make, m in _USAGE_ERRORS.values())]:
         argv = [str(a) for a in argv]
         code = main(argv)
         printed = capsys.readouterr()
         with monkeypatch.context() as patch, pytest.raises(SystemExit) as exc:
             patch.setattr(cli, "_help_formatter", lambda: argparse.HelpFormatter)
-            cli.build_parser().parse_args(argv)
+            parser, words = cli.build_parser(), argv
+            if message is not None and message.startswith("unrecognized arguments"):
+                parser = parser._subparsers._group_actions[0].choices[argv[0]]
+                words = argv[1:]
+            parser.parse_args(words)
         helped = argv in helps
         assert (code, exc.value.code) == ((cli.EXIT_OK, 0) if helped else (cli.EXIT_USAGE, 2))
+        # a named command's help and errors, an unknown word included, carry
+        # its own usage line
+        named = argv[0] if argv and argv[0] in cli.COMMANDS else "[-h]"
+        assert (printed.out if helped else printed.err).startswith(f"usage: clickstats {named}")
         assert printed == capsys.readouterr(), argv
-        assert (printed.out if helped else printed.err).startswith("usage: clickstats")
 
 
 def test_full_parser_parses_every_command(tmp_path, monkeypatch):

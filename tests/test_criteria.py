@@ -269,13 +269,47 @@ def test_exact_coherent_faults_not_violated(bins, setting):
     test_exact_coherent_verdicts_not_violated(bins, setting)
 
 
-@pytest.mark.xfail(strict=True, reason="frak_n -7.9e-3, decided by row a = 84, whose "
-                   "c(84) ~ 1.1e-321 is subnormal; stack_statistics supports every "
-                   "c(a) > 0 (ROADMAP item 12)")
 def test_exact_coherent_unequal_arms_frak_n_not_violated():
+    # read frak_n -7.9e-3 when every c(a) > 0 was supported: row a = 84, whose
+    # c(84) ~ 1.1e-321 is subnormal, has moments of rounding noise
     jcd = exact_jcd(cs.StateSpec.coherent(0.174, 38.65), cs.DetectorConfig(84, 0.177, 1e-4),
                     cs.DetectorConfig(21, 0.177, 1e-4))
     assert cs.evaluate_all(jcd).frak_n_test.violated is False
+
+
+def test_exact_coherent_products_frak_n_not_violated():
+    # 400 single coherent products at 2-128 bins per arm, unequal arms
+    # included; with every c(a) > 0 supported, 33 read frak_n violated, the
+    # worst at -3.2e-3, each decided by a subnormal row. Now the worst reads
+    # -1.1e-12. Three read kappa violated, by the photon-number cut (ROADMAP
+    # item 14), so kappa and gamma are not asserted.
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        na, nb = rng.integers(2, 129, size=2)
+        ma, mb = 10 ** rng.uniform(-3, 2.5, size=2)
+        eta = 10 ** rng.uniform(-2, 0)
+        nu = rng.choice([0.0, 1e-4])
+        jcd = exact_jcd(cs.StateSpec.coherent(ma, mb), cs.DetectorConfig(na, eta, nu),
+                        cs.DetectorConfig(nb, eta, nu))
+        report = cs.evaluate_all(jcd)
+        setting = (na, nb, ma, mb, eta, nu)
+        assert report.frak_n_test.violated is False, setting
+        assert report.frak_n.value >= -1e-10, setting
+
+
+def test_subnormal_condition_is_unsupported():
+    # a row of 1e-320 holds moments of rounding noise: they read NaN, like
+    # its eigenvalue, and frak_n passes over it
+    probs = np.zeros((9, 9))
+    probs[0, 0] = probs[1, 1] = 0.5
+    probs[2, 3] = 1e-320
+    jcd = cs.JointClickDistribution(probs)
+    point = criteria.stack_statistics(jcd.probs)
+    assert np.isnan(point.moments[2]).all() and np.isnan(point.eigenvalues[2])
+    assert point.values["frak_n"] == np.nanmin(point.eigenvalues)
+    with pytest.raises(UndefinedStatisticError,
+                       match=re.escape("unsupported condition: c(a=2) is 0 or subnormal")):
+        moment_matrix(jcd, 2)
 
 
 def test_exact_verdict_tolerance():
